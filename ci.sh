@@ -5,7 +5,11 @@
 #   ./ci.sh fast     # tier-1 build + ctest only
 #
 # Stages:
-#   1. tier-1: default build, full ctest suite (the ROADMAP acceptance bar)
+#   1. tier-1: default build, full ctest suite (the ROADMAP acceptance bar),
+#              then the cloudbench self-test (cloudbench/tests/selftest.py):
+#              every benchmark workload for about a second, each op's bytes
+#              checked and each restart required clean -- zero orphans,
+#              stale ids, aborted puts and repairs after reconcile
 #   2. asan:   -DCSHIELD_SANITIZE=address, full ctest suite (includes
 #              obs_test and recovery_test, so the telemetry layer, the
 #              journal codec fuzz sweeps, and the crash-injection harness
@@ -126,9 +130,12 @@ cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")
 
 if [[ "${1:-}" == "fast" ]]; then
-  echo "fast mode: skipping sanitizer, crash-e2e, and bench stages"
+  echo "fast mode: skipping cloudbench self-test, sanitizer, crash-e2e, and bench stages"
   exit 0
 fi
+
+echo "== [1/7] cloudbench self-test: every workload briefly, clean restart =="
+python3 cloudbench/tests/selftest.py
 
 echo "== [2/7] address sanitizer: build + ctest =="
 cmake -B build-asan -S . -DCSHIELD_SANITIZE=address >/dev/null

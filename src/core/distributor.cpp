@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <numeric>
 #include <queue>
 #include <unordered_set>
 
@@ -32,6 +33,24 @@ std::size_t aes_quarters_for(PrivacyLevel pl) {
     case PrivacyLevel::kHigh: return 4;
   }
   return 4;
+}
+
+/// True when a member of `stripe` lives on `p`.
+bool holds(const std::vector<ShardLocation>& stripe, ProviderIndex p) {
+  return std::any_of(
+      stripe.begin(), stripe.end(),
+      [p](const ShardLocation& loc) { return loc.provider == p; });
+}
+
+/// The row at `index`; kNotFound once removed -- a reader that resolved its
+/// ref just before a concurrent remove meets the tombstone.
+Result<ChunkEntry> live_row(const MetadataStore& md, std::size_t index) {
+  Result<ChunkEntry> row = md.chunk_entry(index);
+  if (row.ok() && row.value().deleted) {
+    return Status::NotFound("chunk index " + std::to_string(index) +
+                            " removed");
+  }
+  return row;
 }
 
 }  // namespace
@@ -600,11 +619,7 @@ ProviderIndex CloudDataDistributor::replacement_target(
   for (ProviderIndex cand : registry_.eligible_for(pl)) {
     if (!registry_.at(cand).online()) continue;
     if (registry_.quarantined(cand)) continue;
-    bool in_stripe = false;
-    for (const auto& loc : stripe) {
-      if (loc.provider == cand) in_stripe = true;
-    }
-    if (!in_stripe) return cand;
+    if (!holds(stripe, cand)) return cand;
   }
   return kNoProvider;
 }
@@ -946,9 +961,10 @@ Status CloudDataDistributor::put_file(const std::string& client,
     }
   }
 
-  // Commit the refs in serial order. The claim makes interference from
-  // other writers impossible, so a failure here is exceptional -- but it
-  // still unwinds to zero shards and zero refs.
+  // Commit the refs in serial order. The claim keeps other puts out, so a
+  // failure here is exceptional (a concurrent remove of the half-linked
+  // file frees the name) -- but it still unwinds this put's rows and
+  // shards.
   std::vector<std::size_t> committed;
   committed.reserve(chunks.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -956,13 +972,17 @@ Status CloudDataDistributor::put_file(const std::string& client,
     Result<std::size_t> idx = md.add_chunk(
         client, filename, chunks[i].serial, std::move(out.entry));
     if (!idx.ok()) {
+      // The rows linked so far are visible to other clients already, so
+      // they retire through the row commit path; whoever rewrote or removed
+      // one first has taken over its stripes.
       for (std::size_t j = 0; j < committed.size(); ++j) {
-        ChunkEntry tombstone;
-        tombstone.privacy_level = options.privacy_level;
-        tombstone.layout = layout;
-        tombstone.deleted = true;
-        (void)md.update_chunk(committed[j], std::move(tombstone));
-        (void)md.unlink_chunk(client, filename, chunks[j].serial);
+        Result<std::vector<ShardLocation>> retired = commit_row(
+            RowTarget{shard, committed[j],
+                      ChunkKey{client, filename, chunks[j].serial},
+                      /*journal=*/false},
+            tombstone, &op.times);
+        if (retired.ok()) drop_stripe(retired.value(), &op.times, shard);
+        outcomes[j].stripe.clear();
       }
       return op.finish(rollback(idx.status()), report, config_.worker_threads);
     }
@@ -1014,7 +1034,7 @@ Result<Bytes> CloudDataDistributor::get_chunk(const std::string& client,
   }
   Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
   if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry = md.chunk_entry(ref->chunk_index);
+  Result<ChunkEntry> entry = live_row(md, ref->chunk_index);
   if (!entry.ok()) return entry.status();
 
   OpScope op(telemetry_.get(), "get_chunk", client, filename,
@@ -1093,7 +1113,7 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
       chunk_span.rec().bytes = out.plain.size();
       chunk_span.rec().outcome = out.status.code();
     };
-    Result<ChunkEntry> entry = md.chunk_entry(refs[i].chunk_index);
+    Result<ChunkEntry> entry = live_row(md, refs[i].chunk_index);
     if (!entry.ok()) {
       out.status = entry.status();
       close_span();
@@ -1190,131 +1210,110 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
                                           BytesView new_data,
                                           OpReport* report) {
   const std::size_t shard = plane_->shard_of(client, filename);
-  MetadataStore& md = plane_->store(shard);
-  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
+  std::optional<ChunkRef> ref =
+      plane_->store(shard).find_chunk(client, filename, serial);
   if (!ref.has_value()) {
     return Status::NotFound("chunk " + filename + "#" +
                             std::to_string(serial));
   }
   Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
   if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry_r = md.chunk_entry(ref->chunk_index);
-  if (!entry_r.ok()) return entry_r.status();
-  ChunkEntry entry = std::move(entry_r).value();
 
   OpScope op(telemetry_.get(), "update_chunk", client, filename,
              config_.watchdog.get(), config_.retry.deadline.count());
   op.chunk_serial = serial;
-  std::vector<SimDuration>& times = op.times;
-  auto fail = [&](const Status& st) {
-    return op.finish(st, report, config_.worker_threads);
+
+  // Read the pre-state (chaff included), write it to a NEW snapshot stripe
+  // -- "snapshot provider stores the pre-state and cloud provider stores
+  // the post-state of a chunk after each modification" (Table III) -- then
+  // chaff, re-protect (same mode as the original put, fresh nonce) and
+  // write the post-state under fresh virtual ids. The old stripe and old
+  // snapshot are retired only after the new row has committed to the
+  // journal, so a crash anywhere in between loses only fresh orphans, never
+  // referenced shards.
+  auto rewrite = [&](RowEdit& edit) -> Status {
+    ChunkEntry& row = edit.row;
+    StripeReadStats rstats;
+    Result<Bytes> pre_state =
+        read_stripe(row.layout, row.stripe, row.shard_digests,
+                    row.padded_size, op.times, ReadMode::kEager, op.ctx(),
+                    &rstats);
+    op.parity_reads += rstats.parity_reads;
+    op.retries += rstats.retries;
+    op.hedges += rstats.hedges;
+    CS_RETURN_IF_ERROR(pre_state.status());
+    auto write = [&](BytesView payload) -> Result<StripeWriteResult> {
+      Result<std::vector<ProviderIndex>> targets = [&] {
+        std::lock_guard<std::mutex> lock(mu_);
+        return placement_.choose(registry_, row.privacy_level,
+                                 row.layout.total_shards());
+      }();
+      CS_RETURN_IF_ERROR(targets.status());
+      Result<StripeWriteResult> written =
+          write_stripe(payload, row.layout, targets.value(),
+                       row.privacy_level, op.times, op.ctx(), shard);
+      if (written.ok()) {
+        op.retries += written.value().retries;
+        op.replaced_shards += written.value().replaced;
+        edit.placed.insert(edit.placed.end(),
+                           written.value().locations.begin(),
+                           written.value().locations.end());
+      }
+      return written;
+    };
+    Result<StripeWriteResult> snap = write(pre_state.value());
+    CS_RETURN_IF_ERROR(snap.status());
+
+    MisleadingCodec::Encoded chaffed;
+    std::uint64_t protect_nonce = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      chaffed = MisleadingCodec::inject(new_data, chaff_fraction_of(row),
+                                        chaff_rng_);
+      protect_nonce = chaff_rng_.next();
+    }
+    const std::size_t protect_bytes =
+        apply_protection(chaffed.data, row.protection, row.privacy_level,
+                         row.layout, protect_nonce);
+    Result<StripeWriteResult> written = write(chaffed.data);
+    if (!written.ok()) {
+      op.rolled_back = true;  // commit_row deletes the snapshot stripe
+      return written.status();
+    }
+
+    edit.retired = row.stripe;
+    edit.retired.insert(edit.retired.end(), row.snapshot.begin(),
+                        row.snapshot.end());
+    // The snapshot stripe stores the pre-state exactly as it was protected;
+    // its original transform parameters move with it.
+    row.snapshot = std::move(snap.value().locations);
+    row.snapshot_digests = std::move(snap.value().digests);
+    row.snapshot_misleading = std::move(row.misleading);
+    row.snapshot_padded_size = row.padded_size;
+    row.snapshot_protection = row.protection;
+    row.snapshot_protect_nonce = row.protect_nonce;
+    row.snapshot_protect_bytes = row.protect_bytes;
+    row.has_snapshot = true;
+    row.stripe = std::move(written.value().locations);
+    row.shard_digests = std::move(written.value().digests);
+    row.misleading = std::move(chaffed.positions);
+    row.padded_size = chaffed.data.size();
+    row.protect_nonce = protect_nonce;
+    row.protect_bytes = protect_bytes;
+    op.shards = row.layout.total_shards() * 2;
+    op.bytes_stored = chaffed.data.size();
+    return Status::Ok();
   };
-
-  // 1. Read the current padded payload (pre-state, chaff included).
-  StripeReadStats rstats;
-  Result<Bytes> pre_state = read_stripe(entry.layout, entry.stripe,
-                                        entry.shard_digests,
-                                        entry.padded_size, times,
-                                        ReadMode::kEager, op.ctx(), &rstats);
-  op.parity_reads = rstats.parity_reads;
-  op.retries = rstats.retries;
-  op.hedges = rstats.hedges;
-  if (!pre_state.ok()) return fail(pre_state.status());
-
-  // 2. Write the pre-state to a NEW snapshot stripe: "snapshot provider
-  //    stores the pre-state and cloud provider stores the post-state of a
-  //    chunk after each modification" (Table III). The old snapshot and
-  //    old stripe are NOT touched until the new state has committed to the
-  //    journal -- a crash anywhere in between loses only fresh orphans,
-  //    never referenced shards. A failure past this point unwinds the
-  //    stripes this op wrote.
-  Result<std::vector<ProviderIndex>> snap_targets = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return placement_.choose(registry_, entry.privacy_level,
-                             entry.layout.total_shards());
-  }();
-  if (!snap_targets.ok()) return fail(snap_targets.status());
-  Result<StripeWriteResult> snap = write_stripe(
-      pre_state.value(), entry.layout, snap_targets.value(),
-      entry.privacy_level, times, op.ctx(), shard);
-  if (!snap.ok()) return fail(snap.status());
-  op.retries += snap.value().retries;
-  op.replaced_shards += snap.value().replaced;
-  auto unwind = [&](const Status& st) {
-    op.rolled_back = true;
-    drop_stripe(snap.value().locations, &times, shard);
-    return fail(st);
-  };
-
-  // 3. Chaff, re-protect (same mode as the original put, fresh nonce) and
-  //    write the post-state under fresh virtual ids.
-  MisleadingCodec::Encoded chaffed;
-  std::uint64_t protect_nonce = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    chaffed = MisleadingCodec::inject(new_data, chaff_fraction_of(entry),
-                                      chaff_rng_);
-    protect_nonce = chaff_rng_.next();
+  Result<std::vector<ShardLocation>> retired =
+      commit_row(RowTarget{shard, ref->chunk_index,
+                           ChunkKey{client, filename, serial}},
+                 rewrite, &op.times);
+  if (!retired.ok()) {
+    return op.finish(retired.status(), report, config_.worker_threads);
   }
-  const std::size_t protect_bytes =
-      apply_protection(chaffed.data, entry.protection, entry.privacy_level,
-                       entry.layout, protect_nonce);
-  Result<std::vector<ProviderIndex>> new_targets = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return placement_.choose(registry_, entry.privacy_level,
-                             entry.layout.total_shards());
-  }();
-  if (!new_targets.ok()) return unwind(new_targets.status());
-  Result<StripeWriteResult> written =
-      write_stripe(chaffed.data, entry.layout, new_targets.value(),
-                   entry.privacy_level, times, op.ctx(), shard);
-  if (!written.ok()) return unwind(written.status());
-  op.retries += written.value().retries;
-  op.replaced_shards += written.value().replaced;
-
-  // 4. Commit: metadata row, then journal. Only after the journal append
-  //    is it safe to delete the superseded stripes.
-  ChunkEntry updated = entry;
-  updated.snapshot = snap.value().locations;
-  updated.snapshot_digests = std::move(snap.value().digests);
-  updated.snapshot_misleading = entry.misleading;
-  updated.snapshot_padded_size = entry.padded_size;
-  // The snapshot stripe stores the pre-state exactly as it was protected;
-  // its original transform parameters move with it.
-  updated.snapshot_protection = entry.protection;
-  updated.snapshot_protect_nonce = entry.protect_nonce;
-  updated.snapshot_protect_bytes = entry.protect_bytes;
-  updated.has_snapshot = true;
-  updated.stripe = written.value().locations;
-  updated.shard_digests = std::move(written.value().digests);
-  updated.misleading = std::move(chaffed.positions);
-  updated.padded_size = chaffed.data.size();
-  updated.protect_nonce = protect_nonce;
-  updated.protect_bytes = protect_bytes;
-  Status committed = md.update_chunk(ref->chunk_index, updated);
-  if (!committed.ok()) {
-    drop_stripe(written.value().locations, &times, shard);
-    return unwind(committed);
-  }
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kUpdateChunk;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.push_back(
-        JournalChunk{serial, ref->chunk_index, std::move(updated)});
-    if (Status st = journal_append(rec, shard); !st.ok()) return fail(st);
-  }
-
-  // 5. Retire the old stripe and (if present) the old snapshot -- they are
-  //    unreferenced now, so a crash mid-drop leaves only orphans.
-  if (entry.has_snapshot) drop_stripe(entry.snapshot, &times, shard);
-  drop_stripe(entry.stripe, &times, shard);
-
+  drop_stripe(retired.value(), &op.times, shard);
   op.chunks = 1;
-  op.shards = entry.layout.total_shards() * 2;
   op.bytes_logical = new_data.size();
-  op.bytes_stored = chaffed.data.size();
   return op.finish(Status::Ok(), report, config_.worker_threads);
 }
 
@@ -1329,7 +1328,7 @@ Result<Bytes> CloudDataDistributor::get_chunk_snapshot(
   }
   Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
   if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry = md.chunk_entry(ref->chunk_index);
+  Result<ChunkEntry> entry = live_row(md, ref->chunk_index);
   if (!entry.ok()) return entry.status();
   if (!entry.value().has_snapshot) {
     return Status::NotFound("chunk has no snapshot (never modified)");
@@ -1353,52 +1352,32 @@ Status CloudDataDistributor::remove_chunk(const std::string& client,
                                           const std::string& filename,
                                           std::uint64_t serial) {
   const std::size_t shard = plane_->shard_of(client, filename);
-  MetadataStore& md = plane_->store(shard);
-  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
+  std::optional<ChunkRef> ref =
+      plane_->store(shard).find_chunk(client, filename, serial);
   if (!ref.has_value()) {
     return Status::NotFound("chunk " + filename + "#" +
                             std::to_string(serial));
   }
   Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
   if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry = md.chunk_entry(ref->chunk_index);
-  if (!entry.ok()) return entry.status();
 
   OpScope op(telemetry_.get(), "remove_chunk", client, filename,
              config_.watchdog.get(), config_.retry.deadline.count());
   op.chunk_serial = serial;
   op.chunks = 1;
-  op.shards = entry.value().stripe.size() + entry.value().snapshot.size();
 
   // Commit the removal (tombstone + unlink + journal) before any provider-
   // side delete: a crash mid-drop must leave orphans, not a live chunk row
   // pointing at vanished shards.
-  ChunkEntry tombstone = entry.value();
-  tombstone.deleted = true;
-  tombstone.stripe.clear();
-  tombstone.snapshot.clear();
-  tombstone.has_snapshot = false;
-  Status updated = md.update_chunk(ref->chunk_index, std::move(tombstone));
-  if (!updated.ok()) return op.finish(updated, nullptr,
-                                      config_.worker_threads);
-  Status unlinked = md.unlink_chunk(client, filename, serial);
-  if (!unlinked.ok()) return op.finish(unlinked, nullptr,
-                                       config_.worker_threads);
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kRemoveChunk;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.push_back(JournalChunk{serial, ref->chunk_index, {}});
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, nullptr, config_.worker_threads);
-    }
+  Result<std::vector<ShardLocation>> retired =
+      commit_row(RowTarget{shard, ref->chunk_index,
+                           ChunkKey{client, filename, serial}},
+                 tombstone, &op.times);
+  if (!retired.ok()) {
+    return op.finish(retired.status(), nullptr, config_.worker_threads);
   }
-
-  drop_stripe(entry.value().stripe, &op.times, shard);
-  if (entry.value().has_snapshot) {
-    drop_stripe(entry.value().snapshot, &op.times, shard);
-  }
+  op.shards = retired.value().size();
+  drop_stripe(retired.value(), &op.times, shard);
   return op.finish(Status::Ok(), nullptr, config_.worker_threads);
 }
 
@@ -1406,8 +1385,8 @@ Status CloudDataDistributor::remove_file(const std::string& client,
                                          const std::string& password,
                                          const std::string& filename) {
   const std::size_t shard = plane_->shard_of(client, filename);
-  MetadataStore& md = plane_->store(shard);
-  std::vector<ChunkRef> refs = md.file_chunks(client, filename);
+  std::vector<ChunkRef> refs = plane_->store(shard).file_chunks(client,
+                                                                filename);
   if (refs.empty()) {
     Result<PrivacyLevel> auth = metadata_->authenticate(client, password);
     if (!auth.ok()) return auth.status();
@@ -1424,49 +1403,46 @@ Status CloudDataDistributor::remove_file(const std::string& client,
   Result<PrivacyLevel> auth = authorize(client, password, required);
   if (!auth.ok()) return auth.status();
 
-  std::vector<Result<ChunkEntry>> entries;
-  entries.reserve(refs.size());
-  for (const ChunkRef& ref : refs) {
-    entries.push_back(md.chunk_entry(ref.chunk_index));
-  }
-  for (const auto& e : entries) {
-    if (!e.ok()) return e.status();
-  }
-
   OpScope op(telemetry_.get(), "remove_file", client, filename,
              config_.watchdog.get(), config_.retry.deadline.count());
   op.chunks = refs.size();
 
   // Commit the removal first -- tombstone + unlink every ref, then one
-  // journal record covering the whole file -- and only then delete at
-  // providers. A crash mid-drop leaves orphans for reconcile, never a
-  // referenced-but-deleted shard.
+  // journal record covering the rows this call retired -- and only then
+  // delete at providers. A crash mid-drop leaves orphans for reconcile,
+  // never a referenced-but-deleted shard. A row a concurrent remover got
+  // to first is theirs to journal and drop.
+  std::vector<std::vector<ShardLocation>> retired(refs.size());
+  JournalRecord rec;
+  rec.op = JournalOp::kRemoveFile;
+  rec.client = client;
+  rec.filename = filename;
+  Status first_error = Status::Ok();
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    ChunkEntry tombstone = entries[i].value();
-    tombstone.deleted = true;
-    tombstone.stripe.clear();
-    tombstone.snapshot.clear();
-    tombstone.has_snapshot = false;
-    Status updated = md.update_chunk(refs[i].chunk_index,
-                                     std::move(tombstone));
-    if (!updated.ok()) return op.finish(updated, nullptr,
-                                        config_.worker_threads);
-    Status unlinked = md.unlink_chunk(client, filename, refs[i].serial);
-    if (!unlinked.ok()) return op.finish(unlinked, nullptr,
-                                         config_.worker_threads);
+    Result<std::vector<ShardLocation>> r = commit_row(
+        RowTarget{shard, refs[i].chunk_index,
+                  ChunkKey{client, filename, refs[i].serial},
+                  /*journal=*/false},
+        tombstone, &op.times);
+    if (!r.ok()) {
+      if (first_error.ok() && r.status().code() != ErrorCode::kNotFound) {
+        first_error = r.status();
+      }
+      continue;
+    }
+    retired[i] = std::move(r).value();
+    rec.chunks.push_back(
+        JournalChunk{refs[i].serial, refs[i].chunk_index, {}});
   }
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kRemoveFile;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.reserve(refs.size());
-    for (const ChunkRef& ref : refs) {
-      rec.chunks.push_back(JournalChunk{ref.serial, ref.chunk_index, {}});
-    }
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, nullptr, config_.worker_threads);
-    }
+  if (rec.chunks.empty()) {
+    return op.finish(first_error.ok()
+                         ? Status::NotFound("file " + filename +
+                                            " for client " + client)
+                         : first_error,
+                     nullptr, config_.worker_threads);
+  }
+  if (Status st = journal_append(rec, shard); !st.ok()) {
+    return op.finish(st, nullptr, config_.worker_threads);
   }
 
   // Drop all stripes through the pool. Each task owns its slot in
@@ -1474,9 +1450,7 @@ Status CloudDataDistributor::remove_file(const std::string& client,
   // slots merge into the op accumulator.
   std::vector<std::vector<SimDuration>> drop_times(refs.size());
   auto drop_one = [&](std::size_t i) {
-    const ChunkEntry& e = entries[i].value();
-    drop_stripe(e.stripe, &drop_times[i], shard);
-    if (e.has_snapshot) drop_stripe(e.snapshot, &drop_times[i], shard);
+    drop_stripe(retired[i], &drop_times[i], shard);
   };
   if (config_.pipelined && refs.size() > 1) {
     std::vector<std::future<void>> futures;
@@ -1493,138 +1467,184 @@ Status CloudDataDistributor::remove_file(const std::string& client,
     op.times.insert(op.times.end(), drop_times[i].begin(),
                     drop_times[i].end());
   }
-  return op.finish(Status::Ok(), nullptr, config_.worker_threads);
+  return op.finish(first_error, nullptr, config_.worker_threads);
+}
+
+Result<std::vector<ShardLocation>> CloudDataDistributor::commit_row(
+    const RowTarget& target, const std::function<Status(RowEdit&)>& work,
+    std::vector<SimDuration>* times) {
+  MetadataStore& md = plane_->store(target.shard);
+  constexpr int kAttempts = 8;
+  Status last = Status::Ok();
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    Result<MetadataStore::VersionedChunk> read =
+        md.chunk_entry_versioned(target.local);
+    if (!read.ok()) return read.status();
+    if (read.value().entry.deleted) {
+      return Status::NotFound("chunk index " + std::to_string(target.local) +
+                              " removed");
+    }
+    const std::uint64_t version = read.value().version;
+    RowEdit edit{std::move(read.value().entry), {}, {}};
+    last = work(edit);
+    if (last.ok()) {
+      const bool tombstone = edit.row.deleted;
+      if (edit.placed.empty() && !tombstone) {
+        return std::vector<ShardLocation>{};
+      }
+      JournalRecord rec;
+      if (target.journal && journaling()) {
+        rec.op = tombstone ? JournalOp::kRemoveChunk : JournalOp::kUpdateChunk;
+        rec.client = target.key.client;
+        rec.filename = target.key.filename;
+        rec.chunks.push_back(JournalChunk{target.key.serial, target.local,
+                                          tombstone ? ChunkEntry{} : edit.row});
+      }
+      last = md.update_chunk_if(target.local, std::move(edit.row), version,
+                                edit.retired, edit.placed,
+                                tombstone ? &target.key : nullptr);
+      if (last.ok()) {
+        if (!rec.chunks.empty()) {
+          CS_RETURN_IF_ERROR(journal_append(rec, target.shard));
+        }
+        return std::move(edit.retired);
+      }
+    }
+    // The attempt's own copies never became referenced.
+    drop_stripe(edit.placed, times, target.shard);
+    if (last.code() != ErrorCode::kFailedPrecondition) {
+      // A failure on a row that changed meanwhile (its stripe retired under
+      // the read, say) is a lost race too.
+      Result<MetadataStore::VersionedChunk> now =
+          md.chunk_entry_versioned(target.local);
+      if (!now.ok() || now.value().version == version) return last;
+    }
+  }
+  return last;  // every attempt lost its race: a row too hot to commit
+}
+
+Status CloudDataDistributor::tombstone(RowEdit& edit) {
+  edit.retired = std::move(edit.row.stripe);
+  edit.retired.insert(edit.retired.end(), edit.row.snapshot.begin(),
+                      edit.row.snapshot.end());
+  edit.row.deleted = true;
+  edit.row.stripe.clear();
+  edit.row.snapshot.clear();
+  edit.row.has_snapshot = false;
+  return Status::Ok();
+}
+
+void CloudDataDistributor::probe_shards(
+    const std::vector<ShardLocation>& stripe,
+    const std::vector<crypto::Digest>& digests,
+    const std::vector<std::size_t>& members, std::size_t budget,
+    StripeView& view) {
+  // Leaf tasks only, so caller threads, pool workers and the scrubber
+  // thread can all block on the futures. The digest is checked inside the
+  // task; a provider that answered with bad bytes leaves `data` empty.
+  struct Probe {
+    std::optional<Bytes> data;
+    bool corrupt = false;
+  };
+  std::vector<std::future<Probe>> fetches;
+  fetches.reserve(members.size());
+  for (std::size_t s : members) {
+    fetches.push_back(io_pool_.submit(
+        [this, loc = stripe[s], digest = digests[s], budget] {
+          Probe p;
+          RequestLayer::GetOutcome got =
+              rt_.get(loc.provider, loc.virtual_id, budget);
+          if (!got.data.has_value()) return p;
+          p.corrupt = crypto::sha256(*got.data) != digest;
+          if (!p.corrupt) p.data = std::move(got.data);
+          return p;
+        }));
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    Probe p = fetches[i].get();
+    view.asked[members[i]] = true;
+    view.intact[members[i]] = std::move(p.data);
+    if (p.corrupt) view.corrupt.push_back(members[i]);
+  }
+}
+
+Result<Bytes> CloudDataDistributor::shard_or_rebuild(
+    const raid::StripeLayout& layout, const std::vector<ShardLocation>& stripe,
+    const std::vector<crypto::Digest>& digests, std::size_t s,
+    std::size_t budget, StripeView& view) {
+  if (!view.asked[s]) probe_shards(stripe, digests, {s}, budget, view);
+  if (view.intact[s].has_value()) return *view.intact[s];
+  std::vector<std::size_t> rest;
+  for (std::size_t t = 0; t < stripe.size(); ++t) {
+    if (!view.asked[t]) rest.push_back(t);
+  }
+  probe_shards(stripe, digests, rest, budget, view);
+  return raid::reconstruct_shard(layout, view.intact, s);
 }
 
 Result<CloudDataDistributor::StripeHealStats>
 CloudDataDistributor::heal_chunk(std::size_t index, bool note_scrub) {
-  // `index` is a global chunk index; resolve the owning partition first.
-  // A sparse global (no row in its partition) reads as NotFound -- skipped.
-  const std::size_t shard = plane_->shard_of_index(index);
-  const std::size_t local = plane_->local_index(index);
-  MetadataStore& md = plane_->store(shard);
-  // Same commit discipline as migrate_chunk: the scrubber/repair walk runs
-  // alongside live client updates and the background migrator, so the row
-  // write-back goes through the version CAS -- a stale heal result must not
-  // overwrite a newer row (whose superseded locations may already be
-  // deleted). On a lost race the freshly placed copies are removed and the
-  // chunk is redone from the new row; a row too hot to commit is left for
-  // the next scrub pass.
-  constexpr int kCasAttempts = 8;
-  for (int attempt = 0; attempt < kCasAttempts; ++attempt) {
-    StripeHealStats stats;
-    Result<MetadataStore::VersionedChunk> row =
-        md.chunk_entry_versioned(local);
-    if (!row.ok()) return stats;  // row gone from under us: nothing to do
-    ChunkEntry entry = std::move(row.value().entry);
-    const std::uint64_t row_version = row.value().version;
-    if (entry.deleted) return stats;
-
-    struct Probe {
-      std::optional<Bytes> data;  ///< set only when intact
-      bool corrupt = false;       ///< provider answered, digest failed
-    };
-    // Broken locations re-homed this attempt and their replacements (same
-    // index); update_chunk_if() applies the provider-id-table deltas
-    // atomically with the row commit.
-    std::vector<ShardLocation> replaced_old;
-    std::vector<ShardLocation> replaced_new;
-    auto heal_stripe = [&](std::vector<ShardLocation>& stripe,
-                           const std::vector<crypto::Digest>& digests)
-        -> Result<std::size_t> {
-      // Probe every shard through the I/O pool (leaf tasks only, so both
-      // caller threads and the scrubber thread can block on the futures).
-      // Probes take a single attempt through the request layer: a
-      // quarantined provider's open breaker rejects without I/O, so its
-      // shards read as broken and get re-homed -- this is how repair heals
-      // quarantined stripes.
-      std::vector<std::future<Probe>> probes;
-      probes.reserve(stripe.size());
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        probes.push_back(io_pool_.submit(
-            [this, loc = stripe[s], digest = digests[s]]() -> Probe {
-              Probe p;
-              RequestLayer::GetOutcome r =
-                  rt_.get(loc.provider, loc.virtual_id, 1);
-              if (!r.data.has_value()) return p;
-              if (crypto::sha256(*r.data) == digest) {
-                p.data = std::move(*r.data);
-              } else {
-                p.corrupt = true;
-              }
-              return p;
-            }));
-      }
-      std::vector<std::optional<Bytes>> shards(stripe.size());
-      std::vector<std::size_t> broken;
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        Probe p = probes[s].get();
-        if (p.corrupt) {
-          ++stats.mismatches;
-          if (note_scrub) registry_.at(stripe[s].provider).note_scrub_error();
-        }
-        shards[s] = std::move(p.data);
-        if (!shards[s].has_value()) broken.push_back(s);
-      }
-      if (broken.empty()) return std::size_t{0};
-      std::size_t fixed = 0;
-      for (std::size_t s : broken) {
-        Result<Bytes> shard =
-            raid::reconstruct_shard(entry.layout, shards, s);
-        if (!shard.ok()) return shard.status();
-        // New home: eligible, online, healthy, not already a stripe member.
-        const ProviderIndex home =
-            replacement_target(entry.privacy_level, stripe);
-        if (home == kNoProvider) {
-          return Status::ResourceExhausted(
-              "repair: no healthy provider outside the stripe");
-        }
-        const VirtualId id = next_virtual_id();
-        RequestLayer::Outcome rpc = rt_.put(home, id, shard.value());
-        CS_RETURN_IF_ERROR(rpc.status);
-        replaced_old.push_back(stripe[s]);
-        replaced_new.push_back(ShardLocation{home, id});
-        stripe[s] = ShardLocation{home, id};
-        shards[s] = std::move(shard).value();
-        ++fixed;
-      }
-      return fixed;
-    };
-
-    Result<std::size_t> fixed = heal_stripe(entry.stripe, entry.shard_digests);
-    if (!fixed.ok()) return fixed.status();
-    stats.fixed = fixed.value();
-    if (entry.has_snapshot) {
-      Result<std::size_t> snap_fixed =
-          heal_stripe(entry.snapshot, entry.snapshot_digests);
-      if (!snap_fixed.ok()) return snap_fixed.status();
-      stats.fixed += snap_fixed.value();
+  // `index` is a global chunk index; a sparse global (no row in its
+  // partition) reads as NotFound -- skipped. The scrubber/repair walk runs
+  // alongside live client updates and the background migrator, so the
+  // write-back goes through commit_row: a stale heal result never
+  // overwrites a newer row, and a row too hot to commit is left for the
+  // next scrub pass.
+  StripeHealStats stats;
+  auto heal_stripe = [&](RowEdit& edit, std::vector<ShardLocation>& stripe,
+                         const std::vector<crypto::Digest>& digests)
+      -> Status {
+    // Probes take a single attempt through the request layer: a quarantined
+    // provider's open breaker rejects without I/O, so its shards read as
+    // broken and get re-homed -- this is how repair heals quarantined
+    // stripes.
+    StripeView view(stripe.size());
+    std::vector<std::size_t> all(stripe.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    probe_shards(stripe, digests, all, 1, view);
+    for (std::size_t s : view.corrupt) {
+      ++stats.mismatches;
+      if (note_scrub) registry_.at(stripe[s].provider).note_scrub_error();
     }
-    if (stats.fixed > 0) {
-      Status updated = md.update_chunk_if(local, entry, row_version,
-                                          replaced_old, replaced_new);
-      if (!updated.ok()) {
-        // The re-homed copies never became referenced: delete them so the
-        // lost race leaves no orphans behind.
-        for (const ShardLocation& loc : replaced_new) {
-          (void)rt_.remove(loc.provider, loc.virtual_id);
-        }
-        if (updated.code() == ErrorCode::kFailedPrecondition) {
-          continue;  // a concurrent writer rewrote the row: redo from fresh
-        }
-        return updated;
+    for (std::size_t s = 0; s < stripe.size(); ++s) {
+      if (view.intact[s].has_value()) continue;
+      Result<Bytes> shard =
+          shard_or_rebuild(edit.row.layout, stripe, digests, s, 1, view);
+      CS_RETURN_IF_ERROR(shard.status());
+      // New home: eligible, online, healthy, not already a stripe member.
+      const ProviderIndex home =
+          replacement_target(edit.row.privacy_level, stripe);
+      if (home == kNoProvider) {
+        return Status::ResourceExhausted(
+            "repair: no healthy provider outside the stripe");
       }
-      JournalRecord rec;
-      rec.op = JournalOp::kUpdateChunk;
-      rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-      CS_RETURN_IF_ERROR(journal_append(rec, shard));
+      const VirtualId id = next_virtual_id();
+      CS_RETURN_IF_ERROR(rt_.put(home, id, shard.value()).status);
+      edit.retired.push_back(stripe[s]);
+      edit.placed.push_back(ShardLocation{home, id});
+      stripe[s] = ShardLocation{home, id};
+      view.intact[s] = std::move(shard).value();
+      ++stats.fixed;
     }
-    return stats;
+    return Status::Ok();
+  };
+  Result<std::vector<ShardLocation>> committed = commit_row(
+      RowTarget{plane_->shard_of_index(index), plane_->local_index(index), {}},
+      [&](RowEdit& edit) {
+        stats = StripeHealStats{};
+        CS_RETURN_IF_ERROR(
+            heal_stripe(edit, edit.row.stripe, edit.row.shard_digests));
+        if (!edit.row.has_snapshot) return Status::Ok();
+        return heal_stripe(edit, edit.row.snapshot, edit.row.snapshot_digests);
+      });
+  if (committed.ok()) return stats;
+  // Removed (or never there), or every attempt outraced: nothing healed;
+  // the next scrub/repair pass revisits.
+  if (committed.status().code() == ErrorCode::kNotFound ||
+      committed.status().code() == ErrorCode::kFailedPrecondition) {
+    return StripeHealStats{};
   }
-
-  // Every attempt lost its CAS (a hot row): report nothing healed; the
-  // next scrub/repair pass revisits.
-  return StripeHealStats{};
+  return committed.status();
 }
 
 Result<std::size_t> CloudDataDistributor::repair() {
@@ -1760,102 +1780,41 @@ CloudDataDistributor::reconcile(
 Result<std::size_t> CloudDataDistributor::rebalance() {
   OpScope op(telemetry_.get(), "rebalance", "", "", config_.watchdog.get(),
              config_.retry.deadline.count());
-  auto fail = [&](const Status& st) {
-    return op.finish(st, nullptr, config_.worker_threads);
+  // A shard leaves a holder no longer trusted at its chunk's sensitivity
+  // (it is not *offline*, just demoted) for a qualifying home outside the
+  // stripe. A demotion changes no provider lifecycle, so there is no
+  // migration intent to journal: an interrupted rebalance is simply re-run.
+  const ShardMove demoted = [this](const ChunkEntry& row,
+                                   const std::vector<ShardLocation>& stripe,
+                                   std::size_t s)
+      -> std::optional<ProviderIndex> {
+    const auto& holder = registry_.at(stripe[s].provider).descriptor();
+    if (privileged_for(holder.privacy_level, row.privacy_level)) {
+      return std::nullopt;
+    }
+    return replacement_target(row.privacy_level, stripe);
   };
   std::size_t migrated = 0;
+  std::size_t errors = 0;
   const std::size_t n = chunk_index_bound();
   for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::size_t part = plane_->shard_of_index(idx);
-    const std::size_t local = plane_->local_index(idx);
-    MetadataStore& md = plane_->store(part);
-    Result<ChunkEntry> entry_r = md.chunk_entry(local);
-    if (!entry_r.ok()) continue;
-    ChunkEntry entry = std::move(entry_r).value();
-    if (entry.deleted) continue;
-
-    // Shards to delete at the demoted provider -- deferred until the new
-    // locations have committed (metadata + journal), so a crash mid-
-    // migration leaves duplicates (orphans), never a hole.
-    std::vector<ShardLocation> retired;
-    auto migrate_stripe = [&](std::vector<ShardLocation>& stripe)
-        -> Result<std::size_t> {
-      std::size_t moved = 0;
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        const auto& holder = registry_.at(stripe[s].provider).descriptor();
-        if (privileged_for(holder.privacy_level, entry.privacy_level)) {
-          continue;  // still trusted at this sensitivity
-        }
-        // Fetch the shard from the demoted provider (it is not *offline*,
-        // just no longer trusted) and move it to a qualifying home outside
-        // the current stripe.
-        Result<Bytes> shard =
-            registry_.at(stripe[s].provider).get(stripe[s].virtual_id);
-        if (!shard.ok()) {
-          // Unreachable demoted provider: fall back to RAID
-          // reconstruction, probing the survivors through the pool.
-          std::vector<std::optional<Bytes>> shards(stripe.size());
-          std::vector<std::pair<std::size_t,
-                                std::future<std::optional<Bytes>>>> probes;
-          probes.reserve(stripe.size());
-          for (std::size_t t = 0; t < stripe.size(); ++t) {
-            if (t == s) continue;
-            probes.emplace_back(
-                t, pool_.submit(
-                       [this, loc = stripe[t]]() -> std::optional<Bytes> {
-                         Result<Bytes> other =
-                             registry_.at(loc.provider).get(loc.virtual_id);
-                         if (other.ok()) return std::move(other).value();
-                         return std::nullopt;
-                       }));
-          }
-          for (auto& [t, fut] : probes) shards[t] = fut.get();
-          shard = raid::reconstruct_shard(entry.layout, shards, s);
-          if (!shard.ok()) return shard.status();
-        }
-        const ProviderIndex home =
-            replacement_target(entry.privacy_level, stripe);
-        if (home == kNoProvider) {
-          return Status::ResourceExhausted(
-              "rebalance: no trusted provider available for " +
-              std::string(privacy_level_name(entry.privacy_level)));
-        }
-        const VirtualId id = next_virtual_id();
-        RequestLayer::Outcome rpc = rt_.put(home, id, shard.value());
-        CS_RETURN_IF_ERROR(rpc.status);
-        retired.push_back(stripe[s]);
-        md.record_removal(stripe[s].provider, stripe[s].virtual_id);
-        md.record_placement(home, id);
-        stripe[s] = ShardLocation{home, id};
-        ++moved;
-      }
-      return moved;
-    };
-
-    Result<std::size_t> moved = migrate_stripe(entry.stripe);
-    if (!moved.ok()) return fail(moved.status());
-    std::size_t total_moved = moved.value();
-    if (entry.has_snapshot) {
-      Result<std::size_t> snap_moved = migrate_stripe(entry.snapshot);
-      if (!snap_moved.ok()) return fail(snap_moved.status());
-      total_moved += snap_moved.value();
+    Result<ChunkMigrateStats> moved = move_shards(idx, demoted);
+    if (!moved.ok()) {
+      return op.finish(moved.status(), nullptr, config_.worker_threads);
     }
-    if (total_moved > 0) {
-      migrated += total_moved;
-      Status updated = md.update_chunk(local, entry);
-      if (!updated.ok()) return fail(updated);
-      JournalRecord rec;
-      rec.op = JournalOp::kUpdateChunk;
-      rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-      if (Status st = journal_append(rec, part); !st.ok()) return fail(st);
-      for (const ShardLocation& old : retired) {
-        (void)rt_.remove(old.provider, old.virtual_id);
-      }
-    }
+    migrated += moved.value().moved;
+    errors += moved.value().errors;
   }
   op.shards = migrated;
   if (migrated != 0 && telemetry_->enabled()) {
     telemetry_->metrics().counter("cdd.migrated_shards").inc(migrated);
+  }
+  if (errors != 0) {
+    return op.finish(
+        Status::ResourceExhausted(
+            "rebalance: " + std::to_string(errors) +
+            " shards found no trusted home this pass"),
+        nullptr, config_.worker_threads);
   }
   (void)op.finish(Status::Ok(), nullptr, config_.worker_threads);
   return migrated;
@@ -1902,11 +1861,7 @@ ProviderIndex CloudDataDistributor::drain_home(
     }
     if (!registry_.at(cand).online()) continue;
     if (registry_.quarantined(cand)) continue;
-    bool in_stripe = false;
-    for (const ShardLocation& loc : stripe) {
-      if (loc.provider == cand) in_stripe = true;
-    }
-    if (!in_stripe) return cand;
+    if (!holds(stripe, cand)) return cand;
   }
   // Ring exhausted (small fleets, quarantine storms): any healthy
   // trust-eligible provider outside the stripe.
@@ -2026,174 +1981,118 @@ Status CloudDataDistributor::commit_migration(MigrationKind kind,
 }
 
 Result<CloudDataDistributor::ChunkMigrateStats>
+CloudDataDistributor::move_shards(std::size_t index, const ShardMove& move) {
+  // Old copies are deleted at their source only once the new locations have
+  // committed (metadata + journal), so a crash mid-chunk leaves duplicates
+  // (orphans reconcile() sweeps), never a hole. commit_row applies the
+  // provider-id deltas atomically with the row write and, on a lost race
+  // (a client rewrote the row mid-move), deletes this pass's fresh copies
+  // and redoes the chunk from the new row.
+  const std::size_t shard = plane_->shard_of_index(index);
+  ChunkMigrateStats stats;
+  bool unreadable = false;  // the last attempt met a stripe it could not read
+  auto move_stripe = [&](RowEdit& edit, std::vector<ShardLocation>& stripe,
+                         const std::vector<crypto::Digest>& digests)
+      -> Status {
+    StripeView view(stripe.size());
+    for (std::size_t s = 0; s < stripe.size(); ++s) {
+      const std::optional<ProviderIndex> home = move(edit.row, stripe, s);
+      if (!home.has_value()) continue;
+      if (*home == kNoProvider) {
+        ++stats.errors;  // no qualifying member this pass
+        continue;
+      }
+      // Through the request layer (retries, breaker gating), digest-
+      // checked: a missing or corrupt source is rebuilt from the stripe
+      // survivors instead of being copied.
+      Result<Bytes> shard =
+          shard_or_rebuild(edit.row.layout, stripe, digests, s, 0, view);
+      if (!shard.ok()) {
+        // Below RAID tolerance: either a writer retired the stripe under
+        // this read (commit_row redoes the chunk from the new row) or it
+        // really is degraded right now (left for the next pass).
+        unreadable = true;
+        return shard.status();
+      }
+      const VirtualId id = next_virtual_id();
+      if (!rt_.put(*home, id, shard.value()).status.ok()) {
+        ++stats.errors;
+        continue;
+      }
+      edit.retired.push_back(stripe[s]);
+      edit.placed.push_back(ShardLocation{*home, id});
+      stripe[s] = ShardLocation{*home, id};
+      ++stats.moved;
+      stats.bytes += shard.value().size();
+      view.intact[s] = std::move(shard).value();
+    }
+    return Status::Ok();
+  };
+  Result<std::vector<ShardLocation>> retired = commit_row(
+      RowTarget{shard, plane_->local_index(index), {}}, [&](RowEdit& edit) {
+        stats = ChunkMigrateStats{};
+        unreadable = false;
+        CS_RETURN_IF_ERROR(
+            move_stripe(edit, edit.row.stripe, edit.row.shard_digests));
+        if (!edit.row.has_snapshot) return Status::Ok();
+        return move_stripe(edit, edit.row.snapshot, edit.row.snapshot_digests);
+      });
+  if (!retired.ok()) {
+    const ErrorCode code = retired.status().code();
+    if (code == ErrorCode::kNotFound) return ChunkMigrateStats{};  // removed
+    // Too hot, or unreadable right now: a later pass retries the chunk.
+    if (code == ErrorCode::kFailedPrecondition || unreadable) {
+      return ChunkMigrateStats{0, 0, 1};
+    }
+    return retired.status();
+  }
+  drop_stripe(retired.value(), nullptr, shard);  // the new homes are durable
+  return stats;
+}
+
+Result<CloudDataDistributor::ChunkMigrateStats>
 CloudDataDistributor::migrate_chunk(std::size_t index, MigrationKind kind,
                                     ProviderIndex subject) {
   CS_REQUIRE(subject < registry_.size(),
              "migrate_chunk: provider index out of range");
-  const bool join = kind == MigrationKind::kJoin;
-
-  // The chunk row is read-modify-written here while live client traffic
-  // (update_chunk, remove, heal) may rewrite the same row concurrently. The
-  // commit therefore goes through a version compare-and-swap: when a client
-  // won the race, this pass's fresh copies are deleted and the chunk is
-  // redone from the new row -- the migrator can never overwrite a newer row
-  // with its stale snapshot (which would then retire shards the new row
-  // references, leaving a permanent hole). A row hot enough to exhaust the
-  // redo budget is left for the next migration pass.
-  // `index` is a global chunk index; sparse globals resolve to NotFound.
-  const std::size_t part = plane_->shard_of_index(index);
-  const std::size_t local = plane_->local_index(index);
-  MetadataStore& md = plane_->store(part);
-  constexpr int kCasAttempts = 8;
-  for (int attempt = 0; attempt < kCasAttempts; ++attempt) {
-    ChunkMigrateStats stats;
-    Result<MetadataStore::VersionedChunk> row =
-        md.chunk_entry_versioned(local);
-    if (!row.ok()) return stats;  // deleted hole: nothing to move
-    ChunkEntry entry = std::move(row.value().entry);
-    const std::uint64_t row_version = row.value().version;
-    if (entry.deleted) return stats;
-    if (join &&
-        !privileged_for(registry_.at(subject).descriptor().privacy_level,
-                        entry.privacy_level)) {
-      return stats;  // joiner not trusted at this sensitivity: steals nothing
-    }
-
-    // Old copies to delete at their source -- deferred until the new
-    // locations have committed (metadata + journal), so a crash mid-chunk
-    // leaves duplicates (orphans reconcile() sweeps), never a hole. The new
-    // homes (same index as their retired twin) wait alongside: the
-    // provider-id-table deltas are applied by update_chunk_if() atomically
-    // with the row write, so a failed commit or an interleaved checkpoint
-    // never persists id tables that disagree with the chunk rows.
-    std::vector<ShardLocation> retired;
-    std::vector<ShardLocation> placed;
-    auto migrate_stripe = [&](std::vector<ShardLocation>& stripe) {
-      bool subject_in_stripe = false;
-      for (const ShardLocation& loc : stripe) {
-        if (loc.provider == subject) subject_in_stripe = true;
-      }
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        bool affected;
-        if (join) {
-          // The arc the joiner stole. Stripe members must stay on distinct
-          // providers (placement rule 4), so a stripe yields the joiner at
-          // most one shard; a re-run after a crash sees the moved shard
-          // already on the joiner and skips the stripe.
-          affected = !subject_in_stripe && stripe[s].provider != subject &&
-                     ring_owner(stripe[s].virtual_id) == subject;
-        } else {
-          // Drain/decommission: everything resident on the subject. A re-run
-          // finds the moved shards no longer there -- idempotent.
-          affected = stripe[s].provider == subject;
-        }
-        if (!affected) continue;
-
-        // Fetch through the request layer: retries, breaker gating and
-        // hedging apply to migration traffic like any client read.
-        Bytes shard;
-        RequestLayer::GetOutcome got =
-            rt_.get(stripe[s].provider, stripe[s].virtual_id);
-        if (got.status.ok() && got.data.has_value()) {
-          shard = std::move(*got.data);
-        } else {
-          // Source unreachable: RAID-reconstruct from the stripe survivors,
-          // probing through the I/O pool.
-          std::vector<std::optional<Bytes>> shards(stripe.size());
-          std::vector<std::pair<std::size_t,
-                                std::future<std::optional<Bytes>>>> probes;
-          probes.reserve(stripe.size());
-          for (std::size_t t = 0; t < stripe.size(); ++t) {
-            if (t == s) continue;
-            probes.emplace_back(
-                t, io_pool_.submit(
-                       [this, loc = stripe[t]]() -> std::optional<Bytes> {
-                         RequestLayer::GetOutcome other =
-                             rt_.get(loc.provider, loc.virtual_id);
-                         if (other.status.ok() && other.data.has_value()) {
-                           return std::move(*other.data);
-                         }
-                         return std::nullopt;
-                       }));
-          }
-          for (auto& [t, fut] : probes) shards[t] = fut.get();
-          Result<Bytes> rebuilt =
-              raid::reconstruct_shard(entry.layout, shards, s);
-          if (!rebuilt.ok()) {
-            ++stats.errors;  // below RAID tolerance right now: next pass
-            continue;
-          }
-          shard = std::move(rebuilt).value();
-        }
-
-        ProviderIndex home;
-        if (join) {
-          home = subject;
-        } else {
-          home = drain_home(entry.privacy_level, stripe, stripe[s].virtual_id,
-                            subject);
-        }
-        if (home == kNoProvider) {
-          ++stats.errors;  // no qualifying member this pass
-          continue;
-        }
-        const VirtualId id = next_virtual_id();
-        RequestLayer::Outcome rpc = rt_.put(home, id, shard);
-        if (!rpc.status.ok()) {
-          ++stats.errors;
-          continue;
-        }
-        retired.push_back(stripe[s]);
-        placed.push_back(ShardLocation{home, id});
-        stripe[s] = ShardLocation{home, id};
-        ++stats.moved;
-        stats.bytes += shard.size();
-        if (join) subject_in_stripe = true;
-      }
+  ShardMove move;
+  if (kind == MigrationKind::kJoin) {
+    // The arc the joiner stole, at the sensitivities it is trusted with.
+    // Stripe members must stay on distinct providers (placement rule 4), so
+    // a stripe yields the joiner at most one shard; a re-run after a crash
+    // sees the moved shard already on the joiner and skips the stripe.
+    move = [this, subject](const ChunkEntry& row,
+                           const std::vector<ShardLocation>& stripe,
+                           std::size_t s) -> std::optional<ProviderIndex> {
+      const bool steals =
+          privileged_for(registry_.at(subject).descriptor().privacy_level,
+                         row.privacy_level) &&
+          !holds(stripe, subject) &&
+          ring_owner(stripe[s].virtual_id) == subject;
+      if (!steals) return std::nullopt;
+      return subject;
     };
-    migrate_stripe(entry.stripe);
-    if (entry.has_snapshot) migrate_stripe(entry.snapshot);
-
-    if (stats.moved != 0) {
-      Status updated =
-          md.update_chunk_if(local, entry, row_version, retired, placed);
-      if (!updated.ok()) {
-        // The new copies never became referenced: delete them so the lost
-        // race leaves no orphans behind.
-        for (const ShardLocation& loc : placed) {
-          (void)rt_.remove(loc.provider, loc.virtual_id);
-        }
-        if (updated.code() == ErrorCode::kFailedPrecondition) {
-          continue;  // a client rewrote the row mid-move: redo from fresh
-        }
-        return updated;
-      }
-      JournalRecord rec;
-      rec.op = JournalOp::kUpdateChunk;
-      rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-      CS_RETURN_IF_ERROR(journal_append(rec, part));
-      // The new locations are durable; the old copies can go.
-      for (const ShardLocation& loc : retired) {
-        (void)rt_.remove(loc.provider, loc.virtual_id);
-      }
-      if (telemetry_->enabled()) {
-        obs::MetricsRegistry& m = telemetry_->metrics();
-        m.counter("migration.shards_moved").inc(stats.moved);
-        m.counter("migration.bytes_moved").inc(stats.bytes);
-      }
-    }
-    if (stats.errors != 0 && telemetry_->enabled()) {
-      telemetry_->metrics().counter("migration.errors").inc(stats.errors);
-    }
-    return stats;
+  } else {
+    // Drain/decommission: everything resident on the subject, re-homed to
+    // ring successors. A re-run finds the moved shards gone -- idempotent.
+    move = [this, subject](const ChunkEntry& row,
+                           const std::vector<ShardLocation>& stripe,
+                           std::size_t s) -> std::optional<ProviderIndex> {
+      if (stripe[s].provider != subject) return std::nullopt;
+      return drain_home(row.privacy_level, stripe, stripe[s].virtual_id,
+                        subject);
+    };
   }
-
-  // Every attempt lost its CAS: count one error so this migration pass
-  // reports incomplete and a later run retries the chunk.
-  ChunkMigrateStats stats;
-  stats.errors = 1;
-  if (telemetry_->enabled()) {
-    telemetry_->metrics().counter("migration.errors").inc(1);
+  Result<ChunkMigrateStats> stats = move_shards(index, move);
+  if (stats.ok() && telemetry_->enabled()) {
+    obs::MetricsRegistry& m = telemetry_->metrics();
+    if (stats.value().moved != 0) {
+      m.counter("migration.shards_moved").inc(stats.value().moved);
+      m.counter("migration.bytes_moved").inc(stats.value().bytes);
+    }
+    if (stats.value().errors != 0) {
+      m.counter("migration.errors").inc(stats.value().errors);
+    }
   }
   return stats;
 }

@@ -25,6 +25,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -247,7 +248,8 @@ class CloudDataDistributor {
   /// demoted (reputation loss, see core/reputation.hpp) below the
   /// sensitivity of chunks it holds, moves those shards to providers that
   /// still qualify and deletes them at the demoted provider. Returns the
-  /// number of shards migrated.
+  /// number of shards migrated; kResourceExhausted when some shard found no
+  /// qualifying home (the rest still moved -- re-run once one exists).
   Result<std::size_t> rebalance();
 
   // --- dynamic provider topology (runtime join/drain/decommission) -------
@@ -468,6 +470,70 @@ class CloudDataDistributor {
       PrivacyLevel pl, const std::vector<ShardLocation>& stripe,
       VirtualId key, ProviderIndex subject) const;
 
+  /// One attempt's edit of a chunk row, handed to commit_row's work. `row`
+  /// starts as the row read and is what commits; `retired` lists the
+  /// locations the edit drops from it; `placed` lists the shards this
+  /// attempt wrote.
+  struct RowEdit {
+    ChunkEntry row;
+    std::vector<ShardLocation> retired;
+    std::vector<ShardLocation> placed;
+  };
+
+  /// The row commit_row writes: its partition and local index, its client
+  /// slot (journaled, and unlinked by a tombstone; empty for maintenance
+  /// rewrites), and whether commit_row journals the change itself (false
+  /// when the caller journals a batch, or nothing).
+  struct RowTarget {
+    std::size_t shard = 0;
+    std::size_t local = 0;
+    ChunkKey key;
+    bool journal = true;
+  };
+
+  /// The one commit path for an existing chunk row: versioned read, `work`,
+  /// compare-and-swap with the provider-id deltas (update_chunk_if), then
+  /// the journal record -- kRemoveChunk for a tombstone, kUpdateChunk
+  /// otherwise -- only once the swap is won. A failed or outraced attempt
+  /// deletes the shards it placed itself; a lost race, or a failure on a row
+  /// that changed meanwhile, redoes the work from the fresh row, up to 8
+  /// attempts. A tombstone is terminal: meeting one returns kNotFound. An
+  /// edit that places nothing and is no tombstone commits nothing. Returns
+  /// the retired locations, for the caller to delete once it is done.
+  Result<std::vector<ShardLocation>> commit_row(
+      const RowTarget& target, const std::function<Status(RowEdit&)>& work,
+      std::vector<SimDuration>* times = nullptr);
+
+  /// commit_row work that turns the row into a tombstone, retiring its
+  /// stripe and snapshot.
+  static Status tombstone(RowEdit& edit);
+
+  /// A stripe's members as fetched so far: `intact[s]` holds shard s once a
+  /// digest-checked fetch returned it, `asked[s]` marks the fetch issued,
+  /// `corrupt` lists the members whose provider answered with bad bytes.
+  struct StripeView {
+    explicit StripeView(std::size_t n) : intact(n), asked(n, false) {}
+    std::vector<std::optional<Bytes>> intact;
+    std::vector<bool> asked;
+    std::vector<std::size_t> corrupt;
+  };
+
+  /// Fetches `members` of `stripe` concurrently on io_pool_ with `budget`
+  /// attempts each (0 = the request layer's full budget) and checks each
+  /// against its digest into `view`.
+  void probe_shards(const std::vector<ShardLocation>& stripe,
+                    const std::vector<crypto::Digest>& digests,
+                    const std::vector<std::size_t>& members,
+                    std::size_t budget, StripeView& view);
+
+  /// Shard `s` of `stripe`: its own copy when intact, else RAID-rebuilt from
+  /// the other members, probing the ones `view` has not fetched yet.
+  Result<Bytes> shard_or_rebuild(const raid::StripeLayout& layout,
+                                 const std::vector<ShardLocation>& stripe,
+                                 const std::vector<crypto::Digest>& digests,
+                                 std::size_t s, std::size_t budget,
+                                 StripeView& view);
+
   /// What healing one chunk found and fixed.
   struct StripeHealStats {
     std::size_t fixed = 0;       ///< shards reconstructed and re-homed
@@ -475,11 +541,26 @@ class CloudDataDistributor {
   };
 
   /// Shared core of repair() and scrub_chunk(): probes every shard of the
-  /// chunk at `index` (stripe + snapshot) through the I/O pool, RAID-
-  /// reconstructs what is missing or corrupt, re-homes it, and commits the
-  /// new locations (metadata + journal). `note_scrub` charges providers
-  /// that served corrupt bytes with a scrub error.
+  /// chunk at `index` (stripe + snapshot), RAID-reconstructs what is missing
+  /// or corrupt, re-homes it, and commits the new locations through
+  /// commit_row. `note_scrub` charges providers that served corrupt bytes
+  /// with a scrub error.
   Result<StripeHealStats> heal_chunk(std::size_t index, bool note_scrub);
+
+  /// Policy of move_shards: the new home of shard `s` of `stripe` in `row`,
+  /// kNoProvider when it has none this pass, nullopt when it stays put.
+  using ShardMove = std::function<std::optional<ProviderIndex>(
+      const ChunkEntry& row, const std::vector<ShardLocation>& stripe,
+      std::size_t s)>;
+
+  /// The shard-move routine behind migrate_chunk and rebalance: copies each
+  /// shard of the chunk at global `index` (stripe + snapshot) that `move`
+  /// sends elsewhere -- digest-checked, rebuilt from the survivors when the
+  /// source copy is missing or corrupt -- commits through commit_row, then
+  /// deletes the old copies. Crash-safe (copy, commit, delete) and
+  /// idempotent; a shard that cannot move this pass counts in `errors`.
+  Result<ChunkMigrateStats> move_shards(std::size_t index,
+                                        const ShardMove& move);
 
   /// True when the plane journals (all-or-nothing across partitions).
   [[nodiscard]] bool journaling() const {

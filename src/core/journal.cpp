@@ -666,6 +666,10 @@ Status apply_journal_record(MetadataStore& store, const JournalRecord& rec) {
     case JournalOp::kUpdateChunk: {
       for (const JournalChunk& c : rec.chunks) {
         const auto before = row_at(store, c.index);
+        // A tombstone is terminal: the distributor never rewrites a removed
+        // row, so a rewrite that follows the removal in the log committed
+        // before it (two writers of a row append in either order).
+        if (before.has_value() && before->deleted) continue;
         store.set_chunk(c.index, c.entry);
         sync_placements(store, before ? &*before : nullptr, c.entry);
       }

@@ -79,6 +79,13 @@ struct ChunkRef {
   std::size_t chunk_index = 0;  ///< index into the chunk table
 };
 
+/// The client slot a ChunkRef hangs under.
+struct ChunkKey {
+  std::string client;
+  std::string filename;
+  std::uint64_t serial = 0;
+};
+
 /// One row of the Client Table (Table II).
 struct ClientEntry {
   std::string name;
@@ -298,9 +305,9 @@ class MetadataStore {
     return Status::Ok();
   }
 
-  /// Journal-replay variant of update_chunk: overwrites the row at `index`,
-  /// growing the table with deleted tombstones when the checkpoint predates
-  /// the row. No ref linkage changes.
+  /// Journal-replay row write: overwrites the row at `index`, growing the
+  /// table with deleted tombstones when the checkpoint predates the row.
+  /// No ref linkage changes.
   void set_chunk(std::size_t index, ChunkEntry entry) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     grow_chunks(index);
@@ -334,34 +341,22 @@ class MetadataStore {
     return VersionedChunk{chunks_[index], versions_[index]};
   }
 
-  Status update_chunk(std::size_t index, ChunkEntry entry) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (index >= chunks_.size()) {
-      return Status::NotFound("chunk index " + std::to_string(index));
-    }
-    chunks_[index] = std::move(entry);
-    ++versions_[index];
-    return Status::Ok();
-  }
-
-  /// Commits `entry` only while the row is still at `expected_version`
-  /// (compare-and-swap). kFailedPrecondition when a concurrent writer
-  /// committed first: the caller's snapshot is stale -- re-read and redo.
-  Status update_chunk_if(std::size_t index, ChunkEntry entry,
-                         std::uint64_t expected_version) {
-    return update_chunk_if(index, std::move(entry), expected_version, {}, {});
-  }
-
-  /// CAS commit that also applies the shard-move bookkeeping -- `retired`
-  /// leaves the provider id tables, `placed` enters them -- under the same
-  /// exclusive lock as the row write. A checkpoint snapshot (which takes
-  /// this lock) therefore never observes the new row with the old id
-  /// tables: the pair is atomic, so persisted images stay consistent even
-  /// when a journal fold interleaves with a migration or heal commit.
+  /// The one write of an existing row: commits `entry` only while the row
+  /// is still at `expected_version` (compare-and-swap). kFailedPrecondition
+  /// when a concurrent writer committed first: the caller's snapshot is
+  /// stale -- re-read and redo.
+  ///
+  /// The same exclusive lock also applies the shard-move bookkeeping --
+  /// `retired` leaves the provider id tables, `placed` enters them -- and,
+  /// for a tombstone, drops the client ref at `unlink` when it still points
+  /// at `index` (a re-put under the same name binds fresh indices). A
+  /// checkpoint snapshot (which takes this lock) therefore never observes
+  /// the new row with the old id tables or a live ref to a tombstone.
   Status update_chunk_if(std::size_t index, ChunkEntry entry,
                          std::uint64_t expected_version,
-                         const std::vector<ShardLocation>& retired,
-                         const std::vector<ShardLocation>& placed) {
+                         const std::vector<ShardLocation>& retired = {},
+                         const std::vector<ShardLocation>& placed = {},
+                         const ChunkKey* unlink = nullptr) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (index >= chunks_.size()) {
       return Status::NotFound("chunk index " + std::to_string(index));
@@ -381,6 +376,10 @@ class MetadataStore {
       CS_REQUIRE(loc.provider < providers_.size(),
                  "update_chunk_if: bad placed provider index");
       providers_[loc.provider].virtual_ids.insert(loc.virtual_id);
+    }
+    if (unlink != nullptr) {
+      (void)unlink_locked(unlink->client, unlink->filename, unlink->serial,
+                          index);
     }
     return Status::Ok();
   }
@@ -441,15 +440,7 @@ class MetadataStore {
   Status unlink_chunk(const std::string& client, const std::string& filename,
                       std::uint64_t serial) {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    auto it = clients_.find(client);
-    if (it == clients_.end()) return Status::NotFound("client " + client);
-    auto fit = it->second.files.find(filename);
-    if (fit == it->second.files.end() || fit->second.erase(serial) == 0) {
-      return Status::NotFound("chunk " + filename + "#" +
-                              std::to_string(serial));
-    }
-    if (fit->second.empty()) it->second.files.erase(fit);
-    return Status::Ok();
+    return unlink_locked(client, filename, serial, std::nullopt);
   }
 
   [[nodiscard]] std::size_t total_chunks() const {
@@ -512,6 +503,26 @@ class MetadataStore {
       chunks_.push_back(std::move(tombstone));
       versions_.push_back(0);
     }
+  }
+
+  /// unlink_chunk's body (callers hold mu_ exclusively). With `index` set,
+  /// only a ref bound to that row is dropped.
+  Status unlink_locked(const std::string& client, const std::string& filename,
+                       std::uint64_t serial, std::optional<std::size_t> index) {
+    auto it = clients_.find(client);
+    if (it == clients_.end()) return Status::NotFound("client " + client);
+    auto fit = it->second.files.find(filename);
+    if (fit != it->second.files.end()) {
+      auto sit = fit->second.find(serial);
+      if (sit != fit->second.end() &&
+          (!index.has_value() || sit->second.chunk_index == *index)) {
+        fit->second.erase(sit);
+        if (fit->second.empty()) it->second.files.erase(fit);
+        return Status::Ok();
+      }
+    }
+    return Status::NotFound("chunk " + filename + "#" +
+                            std::to_string(serial));
   }
 
   /// Provider row with the id set as the O(1) membership index; the wire

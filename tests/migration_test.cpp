@@ -26,6 +26,7 @@
 #include "core/journal.hpp"
 #include "core/metadata_io.hpp"
 #include "core/migrator.hpp"
+#include "core/scrubber.hpp"
 #include "obs/telemetry.hpp"
 #include "storage/fault_plan.hpp"
 #include "storage/provider_registry.hpp"
@@ -543,11 +544,12 @@ TEST(MetadataCasTest, UpdateChunkIfRefusesStaleVersion) {
       store.chunk_entry_versioned(idx.value());
   ASSERT_TRUE(v0.ok());
 
-  // A concurrent writer commits first: the stale token must be refused and
-  // the newer row left untouched.
+  // A concurrent writer holding the same token commits first: the now
+  // stale token must be refused and the newer row left untouched.
   core::ChunkEntry newer = v0.value().entry;
   newer.padded_size = 111;
-  ASSERT_TRUE(store.update_chunk(idx.value(), newer).ok());
+  ASSERT_TRUE(
+      store.update_chunk_if(idx.value(), newer, v0.value().version).ok());
   core::ChunkEntry stale = v0.value().entry;
   stale.padded_size = 222;
   const Status lost =
@@ -624,6 +626,88 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
                            << " lost: " << back.status().to_string();
     EXPECT_TRUE(equal(back.value(), want)) << "chunk " << serial;
   }
+}
+
+// --- moved shards are digest-checked ---------------------------------------
+
+/// Silently corrupts one stripe shard the chunk table places on `p`.
+void corrupt_one_shard_on(const core::MetadataStore& metadata,
+                          storage::ProviderRegistry& reg, ProviderIndex p) {
+  for (const core::ChunkEntry& entry : metadata.chunk_table()) {
+    if (entry.deleted) continue;
+    for (const core::ShardLocation& loc : entry.stripe) {
+      if (loc.provider != p) continue;
+      ASSERT_TRUE(reg.at(p).corrupt_object(loc.virtual_id, 0).ok());
+      return;
+    }
+  }
+  FAIL() << "no shard on provider " << p;
+}
+
+/// The provider the chunk table places the most stripe shards on.
+ProviderIndex most_loaded(const core::MetadataStore& metadata,
+                          std::size_t fleet) {
+  ProviderIndex best = 0;
+  for (ProviderIndex p = 1; p < fleet; ++p) {
+    if (shards_on(metadata, p) > shards_on(metadata, best)) best = p;
+  }
+  return best;
+}
+
+/// A scrub pass over `cdd` that must find every shard intact.
+void expect_clean_scrub(CloudDataDistributor& cdd) {
+  core::Scrubber scrubber(cdd);
+  ASSERT_TRUE(scrubber.run_pass().ok());
+  EXPECT_EQ(scrubber.progress().digest_mismatches, 0u)
+      << "a move copied corrupt bytes under the row's digest";
+}
+
+TEST(MigrationTest, DrainRebuildsCorruptSourceShardInsteadOfCopyingIt) {
+  storage::ProviderRegistry reg = flat_registry(8);
+  CloudDataDistributor cdd(reg, base_config(0x90D));
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  const Bytes data = payload_of(9000, 13);
+  ASSERT_TRUE(cdd.put_file("alice", "pw", "f", data, opts).ok());
+  const ProviderIndex subject = most_loaded(cdd.metadata(), reg.size());
+  corrupt_one_shard_on(cdd.metadata(), reg, subject);
+
+  Migrator migrator(cdd);
+  Result<Migrator::Report> report = migrator.run(MigrationKind::kDrain,
+                                                 subject);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_TRUE(report.value().committed);
+  EXPECT_EQ(shards_on(cdd.metadata(), subject), 0u);
+  expect_clean_scrub(cdd);
+  Result<Bytes> back = cdd.get_file("alice", "pw", "f");
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_TRUE(equal(back.value(), data));
+}
+
+TEST(MigrationTest, RebalanceRebuildsCorruptSourceShardInsteadOfCopyingIt) {
+  storage::ProviderRegistry reg = flat_registry(8);
+  CloudDataDistributor cdd(reg, base_config(0x90E));
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  const Bytes data = payload_of(9000, 14);
+  ASSERT_TRUE(cdd.put_file("alice", "pw", "f", data, opts).ok());
+  const ProviderIndex demoted = most_loaded(cdd.metadata(), reg.size());
+  corrupt_one_shard_on(cdd.metadata(), reg, demoted);
+  reg.at(demoted).set_privacy_level(PrivacyLevel::kLow);
+
+  Result<std::size_t> moved = cdd.rebalance();
+  ASSERT_TRUE(moved.ok()) << moved.status().to_string();
+  EXPECT_GT(moved.value(), 0u);
+  EXPECT_EQ(shards_on(cdd.metadata(), demoted), 0u);
+  EXPECT_EQ(reg.at(demoted).object_count(), 0u);
+  expect_clean_scrub(cdd);
+  Result<Bytes> back = cdd.get_file("alice", "pw", "f");
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_TRUE(equal(back.value(), data));
 }
 
 // --- durability: checkpoint + crash sweep -----------------------------------
