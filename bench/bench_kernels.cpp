@@ -1,6 +1,6 @@
 // GB/s microbenchmark + CI gate for the SIMD erasure-code data plane.
 //
-// Three sections:
+// Four sections:
 //   1. Kernel arms: xor_into and mul_add through every arm the host can run
 //      (scalar byte loop, 64-bit SWAR, SSSE3, AVX2) across shard sizes
 //      4 KiB / 64 KiB / 1 MiB, reported in GB/s.
@@ -9,12 +9,19 @@
 //   3. Targeted rebuild: reconstruct_shard (P, Q, and a data shard) vs the
 //      old full-stripe path (decode + re-encode, reproduced here), reported
 //      as a speedup.
+//   4. SHA-256 arms: one-shot digest ns/B through every arm the host can run
+//      (portable, SHA-NI) at 1 KiB, 26 KiB and 64 KiB -- the sizes of a PL3
+//      shard, a PL0 RAID-5 k=3 shard and a whole PL0 chunk.
 //
 // Gate (exit non-zero on failure; skipped when the host has no SIMD or
 // CSHIELD_FORCE_SCALAR is set, but the numbers are always recorded):
 //   * vectorized mul_add >= 4x the scalar byte loop at 64 KiB
 //   * vectorized xor     >= 4x the scalar byte loop at 64 KiB
 //   * targeted reconstruct >= 2x the decode+re-encode path (RAID-6 k=8)
+// and, when the host has SHA-NI (whatever CSHIELD_FORCE_SCALAR says, since
+// each arm is bound explicitly; a -DCSHIELD_FORCE_SCALAR=ON build has none):
+//   * SHA-NI sha256 >= 3x the portable arm at every size
+// The JSON records which SHA form ran: "sha_ni", or "skipped: no SHA-NI".
 //
 // Results land in ./BENCH_kernels.json (a bare argument overrides the path)
 // so the perf trajectory is diffable across PRs; see EXPERIMENTS.md E16.
@@ -28,6 +35,7 @@
 
 #include "crypto/gf256.hpp"
 #include "crypto/gf256_kernels.hpp"
+#include "crypto/sha256.hpp"
 #include "raid/raid.hpp"
 #include "util/cpu.hpp"
 #include "util/random.hpp"
@@ -101,6 +109,12 @@ struct RebuildRow {
   [[nodiscard]] double speedup() const {
     return full_path_gb_s > 0 ? targeted_gb_s / full_path_gb_s : 0.0;
   }
+};
+
+struct ShaRow {
+  std::string arm;
+  std::size_t size = 0;
+  double ns_per_byte = 0.0;
 };
 
 /// The pre-SIMD-PR rebuild strategy, kept here as the comparison baseline:
@@ -227,6 +241,46 @@ int main(int argc, char** argv) {
               << r.speedup() << "x\n";
   }
 
+  // --- section 4: sha256 arms -----------------------------------------------
+  std::cout << "\n=== sha256 arms (ns/B, best of 3) ===\n";
+  std::vector<ShaRow> sha_rows;
+  const bool have_sha_ni =
+      crypto::sha256_arm_available(crypto::Sha256Arm::kShaNi);
+  const std::vector<std::size_t> sha_sizes = {1024, 26 * 1024, 64 * 1024};
+  for (std::size_t n : sha_sizes) {
+    const Bytes data = make_payload(n, n + 11);
+    for (crypto::Sha256Arm arm :
+         {crypto::Sha256Arm::kPortable, crypto::Sha256Arm::kShaNi}) {
+      if (!crypto::sha256_arm_available(arm)) continue;
+      const crypto::Sha256Arm previous = crypto::set_sha256_arm(arm);
+      const double rate = gbps(n, [&] {
+        const crypto::Digest d = crypto::sha256(data);
+        CS_REQUIRE(d.size() == 32, "sha256");
+      });
+      crypto::set_sha256_arm(previous);
+      sha_rows.push_back(
+          {std::string(crypto::sha256_arm_name(arm)), n, 1.0 / rate});
+    }
+  }
+  for (const auto& r : sha_rows) {
+    std::cout << "sha256 " << r.arm << " " << r.size / 1024
+              << " KiB: " << r.ns_per_byte << " ns/B\n";
+  }
+  double min_sha_ratio = 0.0;
+  if (have_sha_ni) {
+    min_sha_ratio = 1e9;
+    for (std::size_t n : sha_sizes) {
+      double portable = 0.0;
+      double sha_ni = 0.0;
+      for (const auto& r : sha_rows) {
+        if (r.size != n) continue;
+        (r.arm == "sha_ni" ? sha_ni : portable) = r.ns_per_byte;
+      }
+      min_sha_ratio = std::min(min_sha_ratio, portable / sha_ni);
+    }
+  }
+  const std::string sha_form = have_sha_ni ? "sha_ni" : "skipped: no SHA-NI";
+
   // --- gate ----------------------------------------------------------------
   auto find_rate = [&](const char* kernel, Arm arm) {
     double best = 0.0;
@@ -265,6 +319,15 @@ int main(int argc, char** argv) {
     std::cout << "no SIMD arm active; speedup gate skipped "
                  "(numbers recorded)\n";
   }
+  if (have_sha_ni) {
+    const bool sha_ok = min_sha_ratio >= 3.0;
+    std::cout << "sha256 sha_ni/portable: " << min_sha_ratio
+              << "x at the worst size (need >= 3) "
+              << (sha_ok ? "PASS" : "FAIL") << "\n";
+    gate_ok = gate_ok && sha_ok;
+  } else {
+    std::cout << "sha256 gate skipped: no SHA-NI (numbers recorded)\n";
+  }
 
   // --- JSON ----------------------------------------------------------------
   std::ostringstream js;
@@ -296,11 +359,21 @@ int main(int argc, char** argv) {
        << (i + 1 == rebuild_rows.size() ? "\n" : ",\n");
   }
   js << "  ],\n";
+  js << "  \"sha256\": [\n";
+  for (std::size_t i = 0; i < sha_rows.size(); ++i) {
+    const auto& r = sha_rows[i];
+    js << "    {\"arm\": \"" << r.arm << "\", \"bytes\": " << r.size
+       << ", \"ns_per_byte\": " << r.ns_per_byte << "}"
+       << (i + 1 == sha_rows.size() ? "\n" : ",\n");
+  }
+  js << "  ],\n";
   js << "  \"gate\": {\"simd_active\": " << (simd_active ? "true" : "false")
      << ", \"mul_add_ratio\": " << mul_ratio
      << ", \"xor_ratio\": " << xor_ratio
      << ", \"min_reconstruct_speedup\": "
      << (rebuild_rows.empty() ? 0.0 : min_rebuild_speedup)
+     << ", \"sha256_form\": \"" << sha_form << "\""
+     << ", \"sha256_min_ratio\": " << min_sha_ratio
      << ", \"pass\": " << (gate_ok ? "true" : "false") << "}\n";
   js << "}\n";
   std::ofstream out(out_path);

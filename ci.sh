@@ -70,9 +70,12 @@
 #              process gauges; `cshield_cli health` must report a healthy
 #              deployment (exit 0) with every SLO listed.
 #   6. forced-scalar: -DCSHIELD_FORCE_SCALAR=ON + ASan build that compiles
-#              the SIMD kernel arms out entirely, then runs kernels_test,
-#              crypto_test, fragmentation_test, and raid_test so the portable
-#              scalar/SWAR data plane is exercised under a sanitizer. The
+#              the SIMD kernel arms and the SHA-NI sha256 arm out entirely,
+#              then runs kernels_test, crypto_test, fragmentation_test, and
+#              raid_test so the portable scalar/SWAR data plane and the
+#              portable sha256 arm are exercised under a sanitizer
+#              (crypto_test also re-executes itself with the env override
+#              and checks that sha256 binds its portable arm). The
 #              TSan binaries from stage 3 are also re-run with the
 #              CSHIELD_FORCE_SCALAR=1 env override, covering the runtime
 #              (no-rebuild) dispatch path.
@@ -94,7 +97,9 @@
 #              bench_kernels writes BENCH_kernels.json and exits non-zero
 #              unless (on SIMD hosts) the vectorized mul_add and xor arms
 #              are >= 4x the scalar byte loops and targeted shard rebuild
-#              is >= 2x the old decode+re-encode path. Then
+#              is >= 2x the old decode+re-encode path, and (on SHA-NI hosts)
+#              the SHA-NI sha256 arm is >= 3x the portable arm at 1, 26 and
+#              64 KiB (the JSON's sha256_form names the form that ran). Then
 #              bench_encryption_vs_fragmentation writes BENCH_frontier.json
 #              and exits non-zero unless the privacy/perf frontier gate
 #              holds: for at least one privacy level, fast-fragmentation

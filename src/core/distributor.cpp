@@ -1527,10 +1527,7 @@ Status CloudDataDistributor::tombstone(RowEdit& edit) {
   edit.retired = std::move(edit.row.stripe);
   edit.retired.insert(edit.retired.end(), edit.row.snapshot.begin(),
                       edit.row.snapshot.end());
-  edit.row.deleted = true;
-  edit.row.stripe.clear();
-  edit.row.snapshot.clear();
-  edit.row.has_snapshot = false;
+  edit.row.bury();
   return Status::Ok();
 }
 

@@ -27,6 +27,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -69,6 +70,26 @@ struct ChunkEntry {
   std::uint64_t snapshot_protect_nonce = 0;
   std::size_t snapshot_protect_bytes = 0;
   bool deleted = false;  ///< tombstone; indices stay stable after removal
+
+  /// Turns the row into a tombstone. It keeps its privacy level, layout,
+  /// padded sizes and protection parameters, and drops what only a readable
+  /// stripe needs: the stripe and snapshot locations, their chaff positions
+  /// and their shard digests. Removal commits and journal replay both bury
+  /// rows through here, so they leave identical rows.
+  void bury() {
+    // Swap with an empty list, since clear() would keep the capacity.
+    const auto release = [](auto& list) {
+      std::remove_reference_t<decltype(list)>().swap(list);
+    };
+    deleted = true;
+    has_snapshot = false;
+    release(stripe);
+    release(snapshot);
+    release(misleading);
+    release(snapshot_misleading);
+    release(shard_digests);
+    release(snapshot_digests);
+  }
 };
 
 /// Chunk coordinate within a client's namespace.

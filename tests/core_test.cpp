@@ -4,6 +4,7 @@
 // multi-distributor group and the client-side DHT distributor.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "core/chunker.hpp"
@@ -15,6 +16,7 @@
 #include "core/placement.hpp"
 #include "core/reputation.hpp"
 #include "core/tables.hpp"
+#include "crypto/sha256.hpp"
 #include "storage/provider_registry.hpp"
 
 namespace cshield::core {
@@ -156,6 +158,37 @@ TEST(MisleadingTest, ChaffedBufferDiffersFromRawConcatenation) {
   const auto enc = MisleadingCodec::inject(data, 0.2, rng);
   EXPECT_NE(enc.data.size(), data.size());
   EXPECT_FALSE(equal(enc.data, data));
+}
+
+TEST(MisleadingTest, InjectOutputMatchesGoldenDigest) {
+  // Stored chunks and Chunk Table rows depend on inject's exact output, so
+  // any rewrite of the codec must reproduce it bit for bit: the padded
+  // bytes, the position list and how far it advances the caller's Rng.
+  // The digest below was recorded from the original unordered_set + sort
+  // implementation.
+  crypto::Sha256 h;
+  const auto absorb_u64 = [&h](std::uint64_t v) {
+    std::array<std::uint8_t, 8> le{};
+    for (std::size_t i = 0; i < le.size(); ++i) {
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    h.update(BytesView(le.data(), le.size()));
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 63u, 64u, 65u, 100u, 1000u,
+                          4095u, 26624u, 65536u, 70000u}) {
+      for (double fraction : {0.0, 0.01, 0.05, 0.2, 0.5, 0.999, 1.0}) {
+        Rng rng(seed * 1000003 + n);
+        const auto enc =
+            MisleadingCodec::inject(payload_of(n, seed + n), fraction, rng);
+        h.update(enc.data);
+        absorb_u64(enc.positions.size());
+        for (std::uint32_t p : enc.positions) absorb_u64(p);
+        absorb_u64(rng.next());
+      }
+    }
+  }
+  EXPECT_EQ(crypto::digest_hex(h.finish()), "dc1fb7e2ea65fde3d0a0f2ce976ce6008fe63894661a1d01ac873d8590f90ea7");
 }
 
 // --- metadata tables -------------------------------------------------------------

@@ -1,13 +1,18 @@
 // Tests for the crypto substrate: GF(2^8) field axioms, SHA-256 FIPS
-// vectors, AES-128 FIPS-197 vectors and CTR-mode properties.
+// vectors (under every compression arm, plus an arm-vs-arm differential),
+// AES-128 FIPS-197 vectors and CTR-mode properties.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/gf256.hpp"
 #include "crypto/sha256.hpp"
+#include "util/cpu.hpp"
 #include "util/random.hpp"
 
 namespace cshield {
@@ -148,6 +153,132 @@ TEST(Sha256Test, HasherResetsAfterFinish) {
   h.update(to_bytes("abc"));
   EXPECT_EQ(crypto::digest_hex(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// --- SHA-256 arms ----------------------------------------------------------------
+
+std::vector<crypto::Sha256Arm> sha256_arms() {
+  std::vector<crypto::Sha256Arm> arms;
+  for (auto arm : {crypto::Sha256Arm::kPortable, crypto::Sha256Arm::kShaNi}) {
+    if (crypto::sha256_arm_available(arm)) arms.push_back(arm);
+  }
+  return arms;
+}
+
+/// Binds `arm` for the guard's lifetime.
+class Sha256ArmScope {
+ public:
+  explicit Sha256ArmScope(crypto::Sha256Arm arm)
+      : previous_(crypto::set_sha256_arm(arm)) {}
+  ~Sha256ArmScope() { crypto::set_sha256_arm(previous_); }
+  Sha256ArmScope(const Sha256ArmScope&) = delete;
+  Sha256ArmScope& operator=(const Sha256ArmScope&) = delete;
+
+ private:
+  crypto::Sha256Arm previous_;
+};
+
+/// Digest of `data` fed to one hasher in random-length pieces.
+crypto::Digest sha256_in_pieces(BytesView data, Rng& rng) {
+  crypto::Sha256 h;
+  std::size_t at = 0;
+  while (at < data.size()) {
+    const std::size_t n = std::min<std::size_t>(
+        data.size() - at, static_cast<std::size_t>(rng.below(200)));
+    h.update(data.subspan(at, n));
+    at += n;
+  }
+  return h.finish();
+}
+
+TEST(Sha256ArmTest, AvailabilityFollowsTheHost) {
+  EXPECT_TRUE(crypto::sha256_arm_available(crypto::Sha256Arm::kPortable));
+  EXPECT_EQ(crypto::sha256_arm_available(crypto::Sha256Arm::kShaNi),
+            cpu::hardware_sha_ni());
+#if defined(CSHIELD_FORCE_SCALAR)
+  EXPECT_FALSE(crypto::sha256_arm_available(crypto::Sha256Arm::kShaNi));
+  EXPECT_EQ(crypto::sha256_active_arm(), crypto::Sha256Arm::kPortable);
+#endif
+  if (!crypto::sha256_arm_available(crypto::Sha256Arm::kShaNi)) {
+    EXPECT_THROW((void)crypto::set_sha256_arm(crypto::Sha256Arm::kShaNi),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Sha256ArmTest, StartupBindsThePreferredArm) {
+  EXPECT_EQ(crypto::sha256_active_arm(), cpu::preferred_sha_ni()
+                                             ? crypto::Sha256Arm::kShaNi
+                                             : crypto::Sha256Arm::kPortable);
+}
+
+TEST(Sha256ArmDeathTest, ForceScalarEnvBindsPortableArm) {
+  // The dispatcher binds once at startup, so the override is checked in a
+  // fresh process: the threadsafe death-test style re-executes this binary,
+  // which then starts with CSHIELD_FORCE_SCALAR in its environment.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* outer = std::getenv("CSHIELD_FORCE_SCALAR");
+  const std::string saved = outer != nullptr ? outer : "";
+  for (const char* value : {"1", "swar"}) {
+    ::setenv("CSHIELD_FORCE_SCALAR", value, 1);
+    EXPECT_EXIT(std::exit(crypto::sha256_active_arm() ==
+                                  crypto::Sha256Arm::kPortable
+                              ? 0
+                              : 1),
+                ::testing::ExitedWithCode(0), "")
+        << "CSHIELD_FORCE_SCALAR=" << value;
+  }
+  if (outer != nullptr) {
+    ::setenv("CSHIELD_FORCE_SCALAR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("CSHIELD_FORCE_SCALAR");
+  }
+}
+
+TEST(Sha256ArmTest, FipsVectorsUnderEveryArm) {
+  const Bytes million_a(1'000'000, static_cast<std::uint8_t>('a'));
+  for (crypto::Sha256Arm arm : sha256_arms()) {
+    SCOPED_TRACE(std::string(crypto::sha256_arm_name(arm)));
+    Sha256ArmScope scope(arm);
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256({})),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256(to_bytes("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256(to_bytes(
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256(to_bytes(
+                  "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                  "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"))),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256(million_a)),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
+}
+
+TEST(Sha256ArmTest, EveryArmMatchesPortableAcrossLengthsOffsetsAndSplits) {
+  Rng fill(0x5A256);
+  Bytes pool(65536 + 64);
+  for (auto& b : pool) b = static_cast<std::uint8_t>(fill.below(256));
+  std::vector<std::size_t> lengths(1025);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(65536);
+  for (std::size_t n : lengths) {
+    // Unaligned starts: the arms load with unaligned moves.
+    const BytesView data(pool.data() + n % 61, n);
+    crypto::Digest want{};
+    {
+      Sha256ArmScope scope(crypto::Sha256Arm::kPortable);
+      want = crypto::sha256(data);
+    }
+    for (crypto::Sha256Arm arm : sha256_arms()) {
+      Sha256ArmScope scope(arm);
+      Rng splits(n * 31 + static_cast<std::uint64_t>(arm));
+      ASSERT_EQ(crypto::sha256(data), want)
+          << crypto::sha256_arm_name(arm) << " n=" << n;
+      ASSERT_EQ(sha256_in_pieces(data, splits), want)
+          << crypto::sha256_arm_name(arm) << " split, n=" << n;
+    }
+  }
 }
 
 // --- AES-128 ----------------------------------------------------------------------

@@ -611,13 +611,20 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
     }
   } while (migrator.progress().running);
   Result<Migrator::Report> report = migrator.wait();
-  ASSERT_TRUE(report.ok()) << report.status().to_string();
 
-  // Lost CAS races surface as errors; converge now that updates quiesced.
-  for (int pass = 0; pass < 5 && !report.value().committed; ++pass) {
+  // Lost CAS races surface as errors: a chunk that lost every attempt to
+  // the updater fails the pass with kResourceExhausted and leaves the drain
+  // uncommitted. Converge now that updates quiesced.
+  const auto committed = [](const Result<Migrator::Report>& r) {
+    return r.ok() && r.value().committed;
+  };
+  for (int pass = 0; pass < 5 && !committed(report); ++pass) {
+    ASSERT_TRUE(report.ok() ||
+                report.status().code() == ErrorCode::kResourceExhausted)
+        << report.status().to_string();
     report = migrator.run(MigrationKind::kDrain, subject);
-    ASSERT_TRUE(report.ok()) << report.status().to_string();
   }
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_TRUE(report.value().committed);
   EXPECT_EQ(shards_on(cdd.metadata(), subject), 0u);
   for (const auto& [serial, want] : expected) {

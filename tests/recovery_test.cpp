@@ -476,6 +476,98 @@ TEST(RecoveryTest, FreshWorldRecoversEmpty) {
   EXPECT_EQ(rec.value().replayed_records, 0u);
 }
 
+// --- tombstones ---------------------------------------------------------------
+
+Bytes row_bytes(const core::ChunkEntry& row) {
+  Bytes out;
+  wire::Writer w(out);
+  core::write_chunk_entry(w, row);
+  return out;
+}
+
+TEST(RecoveryTest, TombstonesCarryNoPayloadListsAnywhere) {
+  // A removed chunk's row stays in the table (indices are stable) but no
+  // one reads its stripe again, so it must not keep the chaff positions or
+  // digests -- not in memory, not in the journal replay, not in the
+  // checkpoint. All three paths must also agree on the buried row.
+  TempDir dir;
+  const fs::path jpath = dir.path() / "journal.wal";
+  const fs::path cpath = dir.path() / "metadata.bin";
+  const fs::path replay_only = dir.path() / "replay.wal";
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  constexpr std::size_t kChunks = 64;  // PL0 chunks are 64 KiB
+  std::vector<core::ChunkEntry> before_remove;
+  std::vector<core::ChunkEntry> live;
+  {
+    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
+    ASSERT_TRUE(j.ok());
+    core::DistributorConfig config = base_config(0x70B5);
+    config.misleading_fraction = 0.2;
+    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
+    config.checkpoint_path = cpath.string();
+    core::CloudDataDistributor cdd(registry, config, nullptr);
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kPublic).ok());
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kPublic;
+    ASSERT_TRUE(cdd.put_file("alice", "pw", "big",
+                             payload_of(kChunks * 65536, 0x70B5), opts)
+                    .ok());
+    before_remove = cdd.metadata().chunk_table();
+    ASSERT_TRUE(cdd.remove_file("alice", "pw", "big").ok());
+    live = cdd.metadata().chunk_table();
+    write_disk(replay_only, read_disk(jpath));
+    ASSERT_TRUE(cdd.checkpoint().ok());
+  }
+  ASSERT_EQ(before_remove.size(), kChunks);
+  ASSERT_EQ(live.size(), kChunks);
+
+  Result<core::RecoveredState> replayed =
+      core::recover_metadata(dir.path() / "absent.bin", replay_only);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
+  Result<core::RecoveredState> restored = core::recover_metadata(cpath, jpath);
+  ASSERT_TRUE(restored.ok()) << restored.status().to_string();
+  const std::vector<core::ChunkEntry> from_replay =
+      replayed.value().metadata->chunk_table();
+  const std::vector<core::ChunkEntry> from_checkpoint =
+      restored.value().metadata->chunk_table();
+  ASSERT_EQ(from_replay.size(), kChunks);
+  ASSERT_EQ(from_checkpoint.size(), kChunks);
+
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    const core::ChunkEntry& row = live[i];
+    EXPECT_TRUE(row.deleted);
+    EXPECT_TRUE(row.stripe.empty() && row.snapshot.empty());
+    EXPECT_TRUE(row.misleading.empty() && row.snapshot_misleading.empty());
+    EXPECT_TRUE(row.shard_digests.empty() && row.snapshot_digests.empty());
+    EXPECT_TRUE(equal(row_bytes(from_replay[i]), row_bytes(row)));
+    EXPECT_TRUE(equal(row_bytes(from_checkpoint[i]), row_bytes(row)));
+  }
+
+  // The same image with tombstones that kept their lists (only deleted set
+  // and the locations cleared) is what the checkpoint used to hold. At
+  // chaff 0.2 each 64 KiB chunk drops 13,107 positions (52,428 B) plus four
+  // digests (36 B each on the wire): 52,572 B per removed chunk, 3.36 MB for
+  // the file.
+  core::MetadataStore& image = *restored.value().metadata;
+  const std::size_t trimmed = core::serialize_metadata(image).size();
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    core::ChunkEntry kept = before_remove[i];
+    kept.deleted = true;
+    kept.stripe.clear();
+    kept.snapshot.clear();
+    kept.has_snapshot = false;
+    image.set_chunk(i, std::move(kept));
+  }
+  const std::size_t untrimmed = core::serialize_metadata(image).size();
+  ASSERT_GT(untrimmed, trimmed);
+  const std::size_t per_chunk = (untrimmed - trimmed) / kChunks;
+  EXPECT_EQ(per_chunk, 13107u * 4 + 4 * (4 + 32));
+  EXPECT_GE(untrimmed - trimmed, 3'000'000u);
+}
+
 // --- crash-injection sweep --------------------------------------------------
 
 /// Full durable state captured at one crash point: what would be on disk if

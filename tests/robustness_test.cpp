@@ -417,6 +417,28 @@ TEST(FuzzTest, MisleadingStripRejectsCorruptPositions) {
       std::invalid_argument);
 }
 
+TEST(FuzzTest, MisleadingStripRejectsDuplicatePositions) {
+  // The codec emits strictly increasing positions; a repeated one would
+  // drop a real byte, so it is rejected instead of stripped.
+  const Bytes data = payload_of(100, 9);
+  EXPECT_THROW(
+      (void)core::MisleadingCodec::strip(data, {10, 20, 20, 30}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)core::MisleadingCodec::strip(data, {0, 0}),
+      std::invalid_argument);
+}
+
+TEST(FuzzTest, MisleadingStripRejectsDecreasingPositions) {
+  const Bytes data = payload_of(100, 9);
+  EXPECT_THROW(
+      (void)core::MisleadingCodec::strip(data, {10, 30, 20}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)core::MisleadingCodec::strip(data, {99, 0}),
+      std::invalid_argument);
+}
+
 TEST(FuzzTest, RecordDecodePrefixHandlesArbitraryBytes) {
   workload::RecordCodec codec({"a", "b", "c"});
   Rng rng(0xF0AD);
