@@ -123,7 +123,8 @@
 #              torn journals beats sequential replay by >= 1.5x wall
 #              clock (or, on single-core hosts, stays within 25% paired
 #              overhead while the per-shard critical path shows >= 1.5x
-#              headroom).
+#              headroom). Every gate runs even when an earlier one fails;
+#              the stage then names each failed gate and exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -465,10 +466,21 @@ CSHIELD_FORCE_SCALAR=1 ./build-tsan/tests/concurrency_test
 CSHIELD_FORCE_SCALAR=1 ./build-tsan/tests/recovery_test
 
 echo "== [7/7] perf gates: bench_throughput + bench_kernels + frontier + migration + shardplane =="
-./build/bench/bench_throughput BENCH_throughput.json
-./build/bench/bench_kernels BENCH_kernels.json
-./build/bench/bench_encryption_vs_fragmentation BENCH_frontier.json
-./build/bench/bench_migration BENCH_migration.json
-./build/bench/bench_shardplane BENCH_shardplane.json
+failed_gates=()
+# run_gate <name> <command...>: runs one gate, recording it when it fails.
+run_gate() {
+  local name="$1"; shift
+  if ! "$@"; then failed_gates+=("${name}"); fi
+}
+run_gate bench_throughput ./build/bench/bench_throughput BENCH_throughput.json
+run_gate bench_kernels ./build/bench/bench_kernels BENCH_kernels.json
+run_gate bench_encryption_vs_fragmentation \
+  ./build/bench/bench_encryption_vs_fragmentation BENCH_frontier.json
+run_gate bench_migration ./build/bench/bench_migration BENCH_migration.json
+run_gate bench_shardplane ./build/bench/bench_shardplane BENCH_shardplane.json
+if [[ "${#failed_gates[@]}" -ne 0 ]]; then
+  echo "ci.sh: perf gates failed: ${failed_gates[*]}" >&2
+  exit 1
+fi
 
 echo "== ci.sh: all stages passed =="

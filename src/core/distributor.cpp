@@ -6,6 +6,7 @@
 #include <queue>
 #include <unordered_set>
 
+#include "core/chunk_walker.hpp"
 #include "core/metadata_io.hpp"
 #include "core/misleading.hpp"
 #include "crypto/fragmentation.hpp"
@@ -1580,7 +1581,7 @@ Result<Bytes> CloudDataDistributor::shard_or_rebuild(
 }
 
 Result<CloudDataDistributor::StripeHealStats>
-CloudDataDistributor::heal_chunk(std::size_t index, bool note_scrub) {
+CloudDataDistributor::heal_chunk(std::size_t index) {
   // `index` is a global chunk index; a sparse global (no row in its
   // partition) reads as NotFound -- skipped. The scrubber/repair walk runs
   // alongside live client updates and the background migrator, so the
@@ -1600,8 +1601,7 @@ CloudDataDistributor::heal_chunk(std::size_t index, bool note_scrub) {
     std::iota(all.begin(), all.end(), std::size_t{0});
     probe_shards(stripe, digests, all, 1, view);
     for (std::size_t s : view.corrupt) {
-      ++stats.mismatches;
-      if (note_scrub) registry_.at(stripe[s].provider).note_scrub_error();
+      stats.corrupt.push_back(stripe[s].provider);
     }
     for (std::size_t s = 0; s < stripe.size(); ++s) {
       if (view.intact[s].has_value()) continue;
@@ -1647,31 +1647,20 @@ CloudDataDistributor::heal_chunk(std::size_t index, bool note_scrub) {
 Result<std::size_t> CloudDataDistributor::repair() {
   OpScope op(telemetry_.get(), "repair", "", "", config_.watchdog.get(),
              config_.retry.deadline.count());
-  std::size_t repaired = 0;
-  const std::size_t n = chunk_index_bound();
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    Result<StripeHealStats> healed = heal_chunk(idx, /*note_scrub=*/false);
-    if (!healed.ok()) {
-      return op.finish(healed.status(), nullptr, config_.worker_threads);
-    }
-    repaired += healed.value().fixed;
+  std::atomic<std::size_t> repaired{0};
+  const Status first_error = ChunkWalker(config_.worker_threads)
+      .walk(chunk_index_bound(), [&](std::size_t idx) -> Status {
+        Result<StripeHealStats> healed = heal_chunk(idx);
+        if (!healed.ok()) return healed.status();
+        repaired.fetch_add(healed.value().fixed, std::memory_order_relaxed);
+        return Status::Ok();
+      });
+  op.shards = repaired.load();
+  if (op.shards != 0 && telemetry_->enabled()) {
+    telemetry_->metrics().counter("cdd.repaired_shards").inc(op.shards);
   }
-  op.shards = repaired;
-  if (repaired != 0 && telemetry_->enabled()) {
-    telemetry_->metrics().counter("cdd.repaired_shards").inc(repaired);
-  }
-  (void)op.finish(Status::Ok(), nullptr, config_.worker_threads);
-  return repaired;
-}
-
-Result<std::size_t> CloudDataDistributor::scrub_chunk(
-    std::size_t index, std::size_t* digest_mismatches) {
-  Result<StripeHealStats> healed = heal_chunk(index, /*note_scrub=*/true);
-  if (!healed.ok()) return healed.status();
-  if (digest_mismatches != nullptr) {
-    *digest_mismatches = healed.value().mismatches;
-  }
-  return healed.value().fixed;
+  CS_RETURN_IF_ERROR(op.finish(first_error, nullptr, config_.worker_threads));
+  return op.shards;
 }
 
 Result<CloudDataDistributor::ReconcileReport>
@@ -1791,30 +1780,28 @@ Result<std::size_t> CloudDataDistributor::rebalance() {
     }
     return replacement_target(row.privacy_level, stripe);
   };
-  std::size_t migrated = 0;
-  std::size_t errors = 0;
-  const std::size_t n = chunk_index_bound();
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    Result<ChunkMigrateStats> moved = move_shards(idx, demoted);
-    if (!moved.ok()) {
-      return op.finish(moved.status(), nullptr, config_.worker_threads);
-    }
-    migrated += moved.value().moved;
-    errors += moved.value().errors;
+  std::atomic<std::size_t> migrated{0};
+  std::atomic<std::size_t> errors{0};
+  Status status = ChunkWalker(config_.worker_threads)
+      .walk(chunk_index_bound(), [&](std::size_t idx) -> Status {
+        Result<ChunkMigrateStats> moved = move_shards(idx, demoted);
+        if (!moved.ok()) return moved.status();
+        migrated.fetch_add(moved.value().moved, std::memory_order_relaxed);
+        errors.fetch_add(moved.value().errors, std::memory_order_relaxed);
+        return Status::Ok();
+      });
+  op.shards = migrated.load();
+  if (op.shards != 0 && telemetry_->enabled()) {
+    telemetry_->metrics().counter("cdd.migrated_shards").inc(op.shards);
   }
-  op.shards = migrated;
-  if (migrated != 0 && telemetry_->enabled()) {
-    telemetry_->metrics().counter("cdd.migrated_shards").inc(migrated);
+  if (status.ok() && errors.load() != 0) {
+    status = Status::ResourceExhausted(
+        "rebalance: " + std::to_string(errors.load()) +
+        " shards found no trusted home this pass");
   }
-  if (errors != 0) {
-    return op.finish(
-        Status::ResourceExhausted(
-            "rebalance: " + std::to_string(errors) +
-            " shards found no trusted home this pass"),
-        nullptr, config_.worker_threads);
-  }
-  (void)op.finish(Status::Ok(), nullptr, config_.worker_threads);
-  return migrated;
+  CS_RETURN_IF_ERROR(
+      op.finish(std::move(status), nullptr, config_.worker_threads));
+  return op.shards;
 }
 
 // --- dynamic provider topology ------------------------------------------

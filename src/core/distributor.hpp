@@ -240,8 +240,8 @@ class CloudDataDistributor {
 
   /// Scans every live stripe, re-derives shards that are missing or fail
   /// their digest, and re-places them on healthy eligible providers not
-  /// already holding stripe members. Returns the number of shards repaired
-  /// via the Result value.
+  /// already holding stripe members, worker_threads rows at a time. Returns
+  /// the shards repaired, or the first failing row's error after all rows.
   Result<std::size_t> repair();
 
   /// Trust-driven migration: when a provider's privacy level has been
@@ -331,14 +331,19 @@ class CloudDataDistributor {
   Result<ReconcileReport> reconcile(
       const std::vector<std::pair<std::string, std::string>>& in_flight);
 
-  /// Integrity-verifies one chunk: re-fetches every shard of its stripe
-  /// (and snapshot), checks SHA-256 digests, and routes any mismatch or
-  /// loss through the repair path. Returns shards repaired;
-  /// `digest_mismatches` (optional) receives the count of shards that
-  /// answered with corrupt bytes, and the holding providers are charged a
-  /// scrub error. The scrubber's per-chunk entry point (core/scrubber.hpp).
-  Result<std::size_t> scrub_chunk(std::size_t index,
-                                  std::size_t* digest_mismatches = nullptr);
+  /// What healing one chunk found and fixed, in the attempt that committed.
+  struct StripeHealStats {
+    std::size_t fixed = 0;  ///< shards reconstructed and re-homed
+    std::vector<ProviderIndex> corrupt;  ///< holder of each bad-digest shard
+  };
+
+  /// The per-row work of repair() and the scrubber (core/scrubber.hpp):
+  /// re-fetches every shard of the chunk at global `index` (stripe +
+  /// snapshot), checks SHA-256 digests, RAID-reconstructs what is missing or
+  /// corrupt, re-homes it, and commits the new locations through
+  /// commit_row. The stats come from the attempt that committed, so a heal
+  /// that lost a compare-and-swap race reports each corrupt shard once.
+  Result<StripeHealStats> heal_chunk(std::size_t index);
 
   /// Shard-0 partition of the metadata plane -- the whole namespace on an
   /// unsharded (1-shard) plane, one partition of it otherwise.
@@ -348,10 +353,11 @@ class CloudDataDistributor {
   [[nodiscard]] const std::shared_ptr<MetadataPlane>& plane() const {
     return plane_;
   }
-  /// Exclusive upper bound of the global chunk index space maintenance
-  /// loops sweep (repair/scrub/rebalance/migrate). Globals may be sparse on
-  /// a sharded plane -- a missing slot reads as NotFound and is skipped.
-  /// Equals metadata().total_chunks() on a 1-shard plane.
+  /// Exclusive upper bound of the global chunk index space that
+  /// core::ChunkWalker walks for repair, rebalance, migration and scrub.
+  /// Globals may be sparse on a sharded plane -- a missing slot reads as
+  /// NotFound and is skipped. Equals metadata().total_chunks() on a 1-shard
+  /// plane.
   [[nodiscard]] std::size_t chunk_index_bound() const {
     return plane_->global_chunk_bound();
   }
@@ -533,19 +539,6 @@ class CloudDataDistributor {
                                  const std::vector<crypto::Digest>& digests,
                                  std::size_t s, std::size_t budget,
                                  StripeView& view);
-
-  /// What healing one chunk found and fixed.
-  struct StripeHealStats {
-    std::size_t fixed = 0;       ///< shards reconstructed and re-homed
-    std::size_t mismatches = 0;  ///< shards returned with a bad digest
-  };
-
-  /// Shared core of repair() and scrub_chunk(): probes every shard of the
-  /// chunk at `index` (stripe + snapshot), RAID-reconstructs what is missing
-  /// or corrupt, re-homes it, and commits the new locations through
-  /// commit_row. `note_scrub` charges providers that served corrupt bytes
-  /// with a scrub error.
-  Result<StripeHealStats> heal_chunk(std::size_t index, bool note_scrub);
 
   /// Policy of move_shards: the new home of shard `s` of `stripe` in `row`,
   /// kNoProvider when it has none this pass, nullopt when it stays put.

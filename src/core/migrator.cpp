@@ -1,20 +1,8 @@
 #include "core/migrator.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <deque>
-#include <future>
-
 #include "obs/watchdog.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cshield::core {
-
-Result<Migrator::Report> Migrator::run(MigrationKind kind,
-                                       ProviderIndex subject) {
-  stop_.store(false, std::memory_order_relaxed);
-  return do_run(kind, subject);
-}
 
 Result<Migrator::Report> Migrator::do_run(MigrationKind kind,
                                           ProviderIndex subject) {
@@ -22,7 +10,6 @@ Result<Migrator::Report> Migrator::do_run(MigrationKind kind,
   shards_moved_.store(0, std::memory_order_relaxed);
   bytes_moved_.store(0, std::memory_order_relaxed);
   errors_.store(0, std::memory_order_relaxed);
-  cursor_.store(0, std::memory_order_relaxed);
 
   obs::Telemetry* tel = dist_.telemetry().get();
   obs::StallWatchdog* wd = dist_.config().watchdog.get();
@@ -47,54 +34,32 @@ Result<Migrator::Report> Migrator::do_run(MigrationKind kind,
   // sparse globals resolve to NotFound inside migrate_chunk and are
   // skipped.
   const std::size_t n = dist_.chunk_index_bound();
-  Report report;
-  Status first_error = Status::Ok();
-
-  // Bounded-concurrency walk: a private pool issues migrate_chunk calls (each
-  // fans its shard RPCs out on the distributor's I/O pool) and a sliding
-  // window caps how many chunks are in flight at once.
-  ThreadPool pool(std::max<std::size_t>(1, config_.max_in_flight));
-  using ChunkResult = Result<CloudDataDistributor::ChunkMigrateStats>;
-  std::deque<std::future<ChunkResult>> window;
-  auto drain_one = [&] {
-    ChunkResult r = window.front().get();
-    window.pop_front();
-    ++report.chunks_visited;
-    chunks_visited_.fetch_add(1, std::memory_order_relaxed);
-    if (r.ok()) {
-      const auto& stats = r.value();
-      report.shards_moved += stats.moved;
-      report.bytes_moved += stats.bytes;
-      report.errors += stats.errors;
-      shards_moved_.fetch_add(stats.moved, std::memory_order_relaxed);
-      bytes_moved_.fetch_add(stats.bytes, std::memory_order_relaxed);
-      errors_.fetch_add(stats.errors, std::memory_order_relaxed);
-    } else {
-      ++report.errors;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (first_error.ok()) first_error = r.status();
-    }
-    if (progress_gauge != nullptr && n != 0) {
-      progress_gauge->set(
-          static_cast<std::int64_t>(report.chunks_visited * 100 / n));
-    }
-  };
-
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    if (stop_.load(std::memory_order_relaxed)) break;
-    cursor_.store(idx, std::memory_order_relaxed);
-    window.push_back(pool.submit([this, idx, kind, subject, wd, deadline_ns] {
+  // Rows run concurrently (up to Config::max_in_flight); each fans its shard
+  // RPCs out on the distributor's I/O pool.
+  const Status first_error = walker_.walk(n, [&](std::size_t idx) -> Status {
+    Result<CloudDataDistributor::ChunkMigrateStats> r = [&] {
       obs::StallWatchdog::Armed armed(wd, "migrate_chunk", deadline_ns);
       return dist_.migrate_chunk(idx, kind, subject);
-    }));
-    if (window.size() >= std::max<std::size_t>(1, config_.max_in_flight)) {
-      drain_one();
+    }();
+    const std::uint64_t visited =
+        chunks_visited_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (progress_gauge != nullptr) {
+      progress_gauge->set(static_cast<std::int64_t>(visited * 100 / n));
     }
-    throttle();
-  }
-  while (!window.empty()) drain_one();
+    if (!r.ok()) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      return r.status();
+    }
+    shards_moved_.fetch_add(r.value().moved, std::memory_order_relaxed);
+    bytes_moved_.fetch_add(r.value().bytes, std::memory_order_relaxed);
+    errors_.fetch_add(r.value().errors, std::memory_order_relaxed);
+    return Status::Ok();
+  });
 
-  const bool stopped = stop_.load(std::memory_order_relaxed);
+  const Progress done = progress();
+  Report report{done.chunks_visited, done.shards_moved, done.bytes_moved,
+                done.errors};
+  const bool stopped = walker_.stopping();
   if (tel->enabled()) {
     obs::MetricsRegistry& m = tel->metrics();
     m.counter("migration.chunks_visited").inc(report.chunks_visited);
@@ -117,58 +82,17 @@ Result<Migrator::Report> Migrator::do_run(MigrationKind kind,
 }
 
 void Migrator::start(MigrationKind kind, ProviderIndex subject) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (thread_.joinable()) {
-    // A completed run leaves its thread joinable until wait()/stop(); only
-    // a live one wins over this start(). Reap the finished thread so a
-    // start() meant to resume an errored or stopped migration launches.
-    // Safe under mu_: running_ false means the epilogue (the thread's last
-    // use of mu_) already finished.
-    if (running_.load(std::memory_order_acquire)) return;
-    thread_.join();
-  }
-  stop_.store(false, std::memory_order_relaxed);
-  running_.store(true, std::memory_order_relaxed);
-  thread_ = std::thread([this, kind, subject] {
+  walker_.start([this, kind, subject] {
     Result<Report> r = do_run(kind, subject);
-    std::lock_guard<std::mutex> inner(mu_);
-    bg_status_ = r.ok() ? Status::Ok() : r.status();
-    bg_report_ = r.ok() ? r.value() : Report{};
-    running_.store(false, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    bg_result_ = std::move(r);
   });
 }
 
-void Migrator::stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
-    cv_.notify_all();
-    to_join = std::move(thread_);
-  }
-  if (to_join.joinable()) to_join.join();
-  running_.store(false, std::memory_order_relaxed);
-}
-
 Result<Migrator::Report> Migrator::wait() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    to_join = std::move(thread_);
-  }
-  if (to_join.joinable()) to_join.join();
+  walker_.join();
   std::lock_guard<std::mutex> lock(mu_);
-  if (!bg_status_.ok()) return bg_status_;
-  return bg_report_;
-}
-
-void Migrator::throttle() {
-  if (config_.stripes_per_sec <= 0.0) return;
-  const auto period = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double>(1.0 / config_.stripes_per_sec));
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, period,
-               [this] { return stop_.load(std::memory_order_relaxed); });
+  return bg_result_;
 }
 
 }  // namespace cshield::core

@@ -3,11 +3,12 @@
 // When the provider fleet changes at runtime -- a provider joins, drains or
 // decommissions (§IV-C dynamic membership) -- some shards must change homes.
 // The distributor supplies the per-chunk unit of work (migrate_chunk) and
-// the journaled begin/commit protocol; the Migrator wraps them in an
-// operable engine: a throttled, bounded-concurrency walk of the chunk table
-// that can run synchronously (the CLI's drain command) or as a background
-// thread alongside live traffic, reporting progress through atomics and the
-// migration.* metrics the health engine and watchdog consume.
+// the journaled begin/commit protocol; the Migrator runs migrate_chunk as
+// the per-row policy of a ChunkWalker walk (core/chunk_walker.hpp),
+// `max_in_flight` rows at a time and optionally paced, synchronously (the
+// CLI's drain command) or on the walker's background thread alongside live
+// traffic, and reports through atomics and the migration.* metrics the
+// health engine and watchdog consume.
 //
 // Crash safety is inherited, not reimplemented: every shard move the walk
 // performs is copy -> commit (metadata + journal) -> delete, and the
@@ -17,10 +18,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
-#include <thread>
 
+#include "core/chunk_walker.hpp"
 #include "core/distributor.hpp"
 #include "core/journal.hpp"
 
@@ -58,14 +58,12 @@ class Migrator {
   };
 
   /// `dist` must outlive the migrator.
-  explicit Migrator(CloudDataDistributor& dist) : dist_(dist) {}
+  explicit Migrator(CloudDataDistributor& dist) : Migrator(dist, Config{}) {}
   Migrator(CloudDataDistributor& dist, Config config)
-      : dist_(dist), config_(config) {}
+      : dist_(dist), walker_(config.max_in_flight, config.stripes_per_sec) {}
 
   Migrator(const Migrator&) = delete;
   Migrator& operator=(const Migrator&) = delete;
-
-  ~Migrator() { stop(); }
 
   /// One full synchronous migration: begin_migration, a throttled walk of
   /// the chunk table (bounded by Config::max_in_flight), then
@@ -73,7 +71,10 @@ class Migrator {
   /// (the returned Report says so; re-running resumes idempotently) or when
   /// stop() interrupted the walk. Safe to re-run after a crash: the begin
   /// record is re-issued idempotently and already-moved shards are skipped.
-  Result<Report> run(MigrationKind kind, ProviderIndex subject);
+  Result<Report> run(MigrationKind kind, ProviderIndex subject) {
+    walker_.rearm();
+    return do_run(kind, subject);
+  }
 
   /// Launches run() on a background thread. No-op while one is still
   /// running; a finished (completed, errored or stopped) background run is
@@ -83,7 +84,7 @@ class Migrator {
   /// Asks a background run to stop at the next chunk boundary and joins
   /// it. The migration stays open (begun, uncommitted) -- run() again to
   /// resume. Safe to call when not running.
-  void stop();
+  void stop() { walker_.stop(); }
 
   /// Joins the background thread (without requesting a stop) and returns
   /// its final report. Ok/empty when none was started.
@@ -95,35 +96,25 @@ class Migrator {
     p.shards_moved = shards_moved_.load(std::memory_order_relaxed);
     p.bytes_moved = bytes_moved_.load(std::memory_order_relaxed);
     p.errors = errors_.load(std::memory_order_relaxed);
-    p.cursor = cursor_.load(std::memory_order_relaxed);
-    p.running = running_.load(std::memory_order_relaxed);
+    p.cursor = walker_.cursor();
+    p.running = walker_.running();
     return p;
   }
 
  private:
-  /// The walk itself; assumes stop_ was reset by the caller (run() for the
-  /// synchronous path, start() -- under mu_ -- for the background one, so a
-  /// stop() racing a fresh start() is never lost).
+  /// The walk itself; assumes the walker's stop request was cleared by the
+  /// caller (run() for the synchronous path, the walker's start() for the
+  /// background one, so a stop() racing a fresh start() is never lost).
   Result<Report> do_run(MigrationKind kind, ProviderIndex subject);
 
-  /// Paces the walk to Config::stripes_per_sec; wakes early on stop().
-  void throttle();
-
   CloudDataDistributor& dist_;
-  Config config_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> chunks_visited_{0};
   std::atomic<std::uint64_t> shards_moved_{0};
   std::atomic<std::uint64_t> bytes_moved_{0};
   std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::size_t> cursor_{0};
-  mutable std::mutex mu_;  ///< guards thread_/result_ and backs cv_
-  std::condition_variable cv_;
-  std::thread thread_;
-  /// Last background run's outcome, consumed by wait().
-  Status bg_status_ = Status::Ok();
-  Report bg_report_;
+  std::mutex mu_;  ///< guards bg_result_
+  Result<Report> bg_result_ = Report{};  ///< last background run, for wait()
+  ChunkWalker walker_;  ///< last: its destructor stops a background run
 };
 
 }  // namespace cshield::core

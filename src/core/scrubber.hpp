@@ -9,21 +9,19 @@
 // anything missing or corrupt through the distributor's repair path --
 // so corruption is found and healed before a client read can observe it.
 //
-// Mechanics: each pass walks the chunk table by index, calling
-// CloudDataDistributor::scrub_chunk (shard probes fan out on the shard-I/O
-// pool; the scrubber thread itself only paces the walk). An optional
-// chunks-per-second throttle bounds the background I/O load. Providers
-// that served corrupt bytes are charged a `scrub_errors` counter, and each
-// pass emits scrub.* metrics plus a scrub_pass trace span through the
-// distributor's telemetry facade.
+// Mechanics: each pass is a ChunkWalker walk (core/chunk_walker.hpp) with
+// one row in flight, calling CloudDataDistributor::heal_chunk per row
+// (shard probes fan out on the shard-I/O pool); the walker also paces the
+// pass (chunks_per_sec) and runs the background loop. Providers that served
+// corrupt bytes are charged a `scrub_errors` counter, and each pass emits
+// scrub.* metrics plus a scrub_pass trace span through the distributor's
+// telemetry facade.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
+#include "core/chunk_walker.hpp"
 #include "core/distributor.hpp"
 #include "obs/telemetry.hpp"
 
@@ -50,14 +48,12 @@ class Scrubber {
   };
 
   /// `dist` must outlive the scrubber.
-  explicit Scrubber(CloudDataDistributor& dist) : dist_(dist) {}
+  explicit Scrubber(CloudDataDistributor& dist) : Scrubber(dist, Config{}) {}
   Scrubber(CloudDataDistributor& dist, Config config)
-      : dist_(dist), config_(config) {}
+      : dist_(dist), config_(config), walker_(1, config.chunks_per_sec) {}
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
-
-  ~Scrubber() { stop(); }
 
   /// One full synchronous pass over the chunk table. Returns the shards
   /// repaired, or the first heal error encountered (the pass still visits
@@ -81,29 +77,32 @@ class Scrubber {
     std::size_t repaired = 0;
     std::size_t mismatched = 0;
     std::size_t scanned = 0;
-    Status first_error = Status::Ok();
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      if (stop_.load(std::memory_order_relaxed)) break;
-      cursor_.store(idx, std::memory_order_relaxed);
-      std::size_t mismatches = 0;
-      Result<std::size_t> fixed = dist_.scrub_chunk(idx, &mismatches);
+    // One row in flight, so the visit runs on this thread.
+    const Status first_error = walker_.walk(n, [&](std::size_t idx) {
+      Result<CloudDataDistributor::StripeHealStats> healed =
+          dist_.heal_chunk(idx);
       ++scanned;
       chunks_scanned_.fetch_add(1, std::memory_order_relaxed);
-      mismatches_.fetch_add(mismatches, std::memory_order_relaxed);
-      mismatched += mismatches;
-      if (fixed.ok()) {
-        repaired += fixed.value();
-        shards_repaired_.fetch_add(fixed.value(), std::memory_order_relaxed);
-      } else {
-        scan_errors_.fetch_add(1, std::memory_order_relaxed);
-        if (first_error.ok()) first_error = fixed.status();
-      }
       if (progress_gauge != nullptr) {
         progress_gauge->set(static_cast<std::int64_t>((idx + 1) * 100 / n));
       }
-      throttle();
-    }
-    if (progress_gauge != nullptr && !stop_.load(std::memory_order_relaxed)) {
+      if (!healed.ok()) {
+        scan_errors_.fetch_add(1, std::memory_order_relaxed);
+        return healed.status();
+      }
+      // Once per corrupt shard, however many attempts the heal took.
+      for (ProviderIndex p : healed.value().corrupt) {
+        dist_.registry().at(p).note_scrub_error();
+      }
+      mismatched += healed.value().corrupt.size();
+      mismatches_.fetch_add(healed.value().corrupt.size(),
+                            std::memory_order_relaxed);
+      repaired += healed.value().fixed;
+      shards_repaired_.fetch_add(healed.value().fixed,
+                                 std::memory_order_relaxed);
+      return Status::Ok();
+    });
+    if (progress_gauge != nullptr && !walker_.stopping()) {
       progress_gauge->set(100);
     }
     passes_.fetch_add(1, std::memory_order_relaxed);
@@ -127,26 +126,17 @@ class Scrubber {
   /// Starts the background loop: repeated passes separated by
   /// Config::pass_interval. No-op if already running.
   void start() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (thread_.joinable()) return;
-    stop_.store(false, std::memory_order_relaxed);
-    running_.store(true, std::memory_order_relaxed);
-    thread_ = std::thread([this] { loop(); });
+    walker_.start([this] {
+      while (!walker_.stopping()) {
+        (void)run_pass();
+        if (walker_.sleep_for(config_.pass_interval)) break;
+      }
+    });
   }
 
   /// Stops the background loop (mid-pass stops at the next chunk
   /// boundary) and joins the thread. Safe to call when not running.
-  void stop() {
-    std::thread to_join;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_.store(true, std::memory_order_relaxed);
-      cv_.notify_all();
-      to_join = std::move(thread_);
-    }
-    if (to_join.joinable()) to_join.join();
-    running_.store(false, std::memory_order_relaxed);
-  }
+  void stop() { walker_.stop(); }
 
   [[nodiscard]] Progress progress() const {
     Progress p;
@@ -155,47 +145,20 @@ class Scrubber {
     p.shards_repaired = shards_repaired_.load(std::memory_order_relaxed);
     p.digest_mismatches = mismatches_.load(std::memory_order_relaxed);
     p.scan_errors = scan_errors_.load(std::memory_order_relaxed);
-    p.cursor = cursor_.load(std::memory_order_relaxed);
-    p.running = running_.load(std::memory_order_relaxed);
+    p.cursor = walker_.cursor();
+    p.running = walker_.running();
     return p;
   }
 
  private:
-  void loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      (void)run_pass();
-      std::unique_lock<std::mutex> lock(mu_);
-      if (cv_.wait_for(lock, config_.pass_interval, [this] {
-            return stop_.load(std::memory_order_relaxed);
-          })) {
-        break;
-      }
-    }
-  }
-
-  /// Paces the scan to Config::chunks_per_sec; wakes early on stop().
-  void throttle() {
-    if (config_.chunks_per_sec <= 0.0) return;
-    const auto period = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::duration<double>(1.0 / config_.chunks_per_sec));
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, period,
-                 [this] { return stop_.load(std::memory_order_relaxed); });
-  }
-
   CloudDataDistributor& dist_;
   Config config_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> chunks_scanned_{0};
   std::atomic<std::uint64_t> shards_repaired_{0};
   std::atomic<std::uint64_t> mismatches_{0};
   std::atomic<std::uint64_t> scan_errors_{0};
-  std::atomic<std::size_t> cursor_{0};
-  mutable std::mutex mu_;  ///< guards thread_ and backs cv_
-  std::condition_variable cv_;
-  std::thread thread_;
+  ChunkWalker walker_;  ///< last: its destructor stops the pass loop
 };
 
 }  // namespace cshield::core

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -715,6 +716,224 @@ TEST(MigrationTest, RebalanceRebuildsCorruptSourceShardInsteadOfCopyingIt) {
   Result<Bytes> back = cdd.get_file("alice", "pw", "f");
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_TRUE(equal(back.value(), data));
+}
+
+// --- the chunk walker under repair, rebalance and scrub ---------------------
+
+/// Four PL3 providers (exactly one RAID-5 stripe wide) and four PL2 ones.
+/// A PL3 file written first fills the early rows, every stripe on all four
+/// PL3 providers; a PL2 file fills the later rows across the whole fleet.
+/// Returns the PL3 provider holding the most PL2 shards.
+ProviderIndex two_tier_world(storage::ProviderRegistry& reg,
+                             std::unique_ptr<CloudDataDistributor>& cdd) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    storage::ProviderDescriptor d;
+    d.name = (i < 4 ? "H" : "M") + std::to_string(i);
+    d.privacy_level = i < 4 ? PrivacyLevel::kHigh : PrivacyLevel::kModerate;
+    d.cost_level = CostLevel::kCheap;
+    reg.add(std::move(d), storage::LatencyModel{}, 0x7A1C'0000ULL + i);
+  }
+  cdd = std::make_unique<CloudDataDistributor>(reg, base_config(0x90F));
+  EXPECT_TRUE(cdd->register_client("alice").ok());
+  EXPECT_TRUE(cdd->add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  EXPECT_TRUE(cdd->put_file("alice", "pw", "secret", payload_of(3000, 21),
+                            opts).ok());
+  opts.privacy_level = PrivacyLevel::kModerate;
+  EXPECT_TRUE(cdd->put_file("alice", "pw", "plain", payload_of(40000, 22),
+                            opts).ok());
+  std::vector<std::size_t> pl2_shards(reg.size(), 0);
+  for (const auto& ref : cdd->metadata().file_chunks("alice", "plain")) {
+    Result<core::ChunkEntry> row = cdd->metadata().chunk_entry(ref.chunk_index);
+    EXPECT_TRUE(row.ok());
+    for (const core::ShardLocation& loc : row.value().stripe) {
+      ++pl2_shards[loc.provider];
+    }
+  }
+  return static_cast<ProviderIndex>(
+      std::max_element(pl2_shards.begin(), pl2_shards.begin() + 4) -
+      pl2_shards.begin());
+}
+
+/// Shard slots the PL2 file still places on `p`.
+std::size_t pl2_shards_on(const CloudDataDistributor& cdd, ProviderIndex p) {
+  std::size_t n = 0;
+  for (const auto& ref : cdd.metadata().file_chunks("alice", "plain")) {
+    Result<core::ChunkEntry> row = cdd.metadata().chunk_entry(ref.chunk_index);
+    EXPECT_TRUE(row.ok());
+    for (const core::ShardLocation& loc : row.value().stripe) {
+      if (loc.provider == p) ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ChunkWalkerTest, RepairHealsRowsPastAnUnhealableOne) {
+  storage::ProviderRegistry reg;
+  std::unique_ptr<CloudDataDistributor> cdd;
+  const ProviderIndex victim = two_tier_world(reg, cdd);
+  ASSERT_GT(pl2_shards_on(*cdd, victim), 0u);
+  // The PL3 rows come first and lose a shard with no PL3 home outside
+  // their stripe; the PL2 rows after them can be healed.
+  reg.at(victim).set_online(false);
+
+  Result<std::size_t> repaired = cdd->repair();
+  ASSERT_FALSE(repaired.ok());
+  EXPECT_EQ(repaired.status().code(), ErrorCode::kResourceExhausted)
+      << repaired.status().to_string();
+  EXPECT_EQ(pl2_shards_on(*cdd, victim), 0u)
+      << "repair stopped at the first unhealable row";
+}
+
+TEST(ChunkWalkerTest, RebalanceMovesRowsPastAnUnmovableOne) {
+  storage::ProviderRegistry reg;
+  std::unique_ptr<CloudDataDistributor> cdd;
+  const ProviderIndex demoted = two_tier_world(reg, cdd);
+  ASSERT_GT(pl2_shards_on(*cdd, demoted), 0u);
+  // Trusted with neither file any more; only the PL2 shards find a home.
+  reg.at(demoted).set_privacy_level(PrivacyLevel::kLow);
+
+  Result<std::size_t> moved = cdd->rebalance();
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), ErrorCode::kResourceExhausted)
+      << moved.status().to_string();
+  EXPECT_EQ(pl2_shards_on(*cdd, demoted), 0u)
+      << "rebalance stopped at the first unmovable row";
+}
+
+/// Puts three PL3 files on a realtime fleet serially (so one seed lays out
+/// the same stripes at any worker count), updates one chunk so a snapshot
+/// stripe exists too, loses the most loaded provider for good, and repairs
+/// with `workers` rows in flight.
+struct LossRepair {
+  std::size_t lost = 0;   ///< stripe + snapshot slots on the lost provider
+  std::size_t fixed = 0;  ///< the first repair()'s count
+  std::size_t again = 0;  ///< a second repair()'s count
+};
+
+void repair_after_loss(std::size_t workers, LossRepair& out) {
+  storage::ProviderRegistry reg = flat_registry(8);
+  for (ProviderIndex p = 0; p < reg.size(); ++p) {
+    reg.at(p).set_realtime_scale(0.05);
+  }
+  core::DistributorConfig config = base_config(0x9A1);
+  config.worker_threads = workers;
+  config.pipelined = false;
+  CloudDataDistributor cdd(reg, config);
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  const std::vector<std::string> names = {"a", "b", "c"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(cdd.put_file("alice", "pw", names[i],
+                             payload_of(4000 + 1000 * i, 30 + i), opts)
+                    .ok());
+  }
+  ASSERT_TRUE(
+      cdd.update_chunk("alice", "pw", "b", 1, payload_of(700, 40)).ok());
+  std::vector<Bytes> before;
+  for (const std::string& name : names) {
+    Result<Bytes> got = cdd.get_file("alice", "pw", name);
+    ASSERT_TRUE(got.ok());
+    before.push_back(std::move(got).value());
+  }
+
+  const ProviderIndex victim = most_loaded(cdd.metadata(), reg.size());
+  for (const core::ChunkEntry& row : cdd.metadata().chunk_table()) {
+    if (row.deleted) continue;
+    for (const auto* locs : {&row.stripe, &row.snapshot}) {
+      for (const core::ShardLocation& loc : *locs) {
+        if (loc.provider == victim) ++out.lost;
+      }
+    }
+  }
+  reg.at(victim).go_out_of_business();
+
+  Result<std::size_t> fixed = cdd.repair();
+  ASSERT_TRUE(fixed.ok()) << fixed.status().to_string();
+  out.fixed = fixed.value();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    Result<Bytes> got = cdd.get_file("alice", "pw", names[i]);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_TRUE(equal(got.value(), before[i])) << names[i];
+  }
+  Result<std::size_t> again = cdd.repair();
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  out.again = again.value();
+}
+
+TEST(ChunkWalkerTest, ParallelRepairMatchesSerialRepair) {
+  LossRepair serial;
+  LossRepair parallel;
+  ASSERT_NO_FATAL_FAILURE(repair_after_loss(1, serial));
+  ASSERT_NO_FATAL_FAILURE(repair_after_loss(4, parallel));
+  ASSERT_GT(serial.lost, 0u);
+  EXPECT_EQ(parallel.lost, serial.lost) << "the two fleets differ";
+  EXPECT_EQ(serial.fixed, serial.lost);
+  EXPECT_EQ(parallel.fixed, serial.fixed);
+  EXPECT_EQ(serial.again, 0u);
+  EXPECT_EQ(parallel.again, 0u);
+}
+
+TEST(ChunkWalkerTest, ScrubChargesACorruptShardOnceWhenAMoveRacesTheHeal) {
+  // The heal of a row and a migration move of another shard of the same row
+  // race for the row's compare-and-swap. The loser redoes its work from the
+  // fresh row; for the heal that means probing the corrupt shard again. The
+  // holder must still be charged once, as the pass counts it once. The
+  // corrupt shard's holder answers 15x slower than the rest, so the move
+  // (one read and one write at 1 ms each) almost always commits while the
+  // heal still waits on its probe.
+  constexpr int kRounds = 12;
+  int overcharged = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    storage::ProviderRegistry reg = flat_registry(8);
+    for (ProviderIndex p = 0; p < reg.size(); ++p) {
+      reg.at(p).set_realtime_scale(0.2);
+    }
+    CloudDataDistributor cdd(
+        reg, base_config(0xC4A0 + static_cast<std::uint64_t>(round)));
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kHigh;
+    ASSERT_TRUE(
+        cdd.put_file("alice", "pw", "f", payload_of(600, 50), opts).ok());
+    ASSERT_EQ(cdd.chunk_index_bound(), 1u);
+    Result<core::ChunkEntry> row = cdd.metadata().chunk_entry(0);
+    ASSERT_TRUE(row.ok());
+    const core::ShardLocation corrupt = row.value().stripe[0];
+    const ProviderIndex subject = row.value().stripe[1].provider;
+    ASSERT_TRUE(
+        reg.at(corrupt.provider).corrupt_object(corrupt.virtual_id, 0).ok());
+    reg.at(corrupt.provider).set_realtime_scale(3.0);
+
+    core::Scrubber scrubber(cdd);
+    Migrator migrator(cdd);
+    std::atomic<bool> go{false};
+    std::thread scrub([&] {
+      while (!go.load()) std::this_thread::yield();
+      EXPECT_TRUE(scrubber.run_pass().ok());
+    });
+    std::thread drain([&] {
+      while (!go.load()) std::this_thread::yield();
+      EXPECT_TRUE(migrator.run(MigrationKind::kDrain, subject).ok());
+    });
+    go.store(true);
+    scrub.join();
+    drain.join();
+
+    std::uint64_t charged = 0;
+    for (ProviderIndex p = 0; p < reg.size(); ++p) {
+      charged += reg.at(p).counters().scrub_errors.load();
+    }
+    const std::uint64_t counted = scrubber.progress().digest_mismatches;
+    EXPECT_EQ(counted, 1u);
+    if (charged != counted) ++overcharged;
+  }
+  EXPECT_EQ(overcharged, 0) << overcharged << " of " << kRounds
+                            << " rounds charged a provider more than once";
 }
 
 // --- durability: checkpoint + crash sweep -----------------------------------
